@@ -13,8 +13,8 @@ captures, Linux ``tc``) with a deterministic discrete-event simulation:
 - :mod:`repro.netsim.shaper` — ``tc``-style impairments (delay, rate, loss).
 - :mod:`repro.netsim.capture` — Wireshark-style packet captures.
 - :mod:`repro.netsim.sfu` — selective-forwarding relay servers.
-- :mod:`repro.netsim.batch` — struct-of-arrays cohort engine advancing
-  many independent sessions through one event loop.
+- :mod:`repro.netsim.batch` — cohort engine advancing many independent
+  sessions, one lane each, on the scalar engine's event heap.
 """
 
 from repro.netsim.batch import BatchSimulator, LaneSimulator

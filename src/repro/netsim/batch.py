@@ -1,14 +1,13 @@
-"""Vectorized multi-session cohort engine (struct-of-arrays event loop).
+"""Multi-session cohort engine: N lanes on one shared event heap.
 
 One :class:`BatchSimulator` advances *N independent sessions* ("lanes")
-through a single event loop.  The scalar :class:`~repro.netsim.engine.
-Simulator` keeps a binary heap and pays one heappush/heappop per event;
-the batch engine instead keeps its queue as **struct-of-arrays** — one
-``float64`` time array, one ``int64`` sequence array, and aligned callback
-/ handle lists — and restores order with a single vectorized
-``np.lexsort`` whenever freshly scheduled events would fire before the
-sorted arena's front.  Scheduling is an O(1) list append; sorting is
-amortized, batched, and runs in C.
+through a single event loop.  It schedules on the scalar engine's binary
+heap of ``(time, seq, callback, handle)`` entries
+(:class:`~repro.netsim.engine.EventQueue`, the same push, lazy
+cancellation and compaction as :class:`~repro.netsim.engine.Simulator`)
+and adds only what lanes need: per-lane counters, per-lane probes, and
+cohort events (:meth:`BatchSimulator.schedule_cohort`) that one callback
+fires for many lanes at once.
 
 Equivalence contract (enforced by ``tests/test_batch_equivalence.py``):
 
@@ -24,7 +23,7 @@ Equivalence contract (enforced by ``tests/test_batch_equivalence.py``):
   are attributed **per lane**, not pooled into one global blob, and the
   aggregate equals the fold of the per-lane counters.
 
-On top of the exact event loop, the module provides the numpy kernels
+Alongside the exact event loop, the module provides the numpy kernels
 the cohort fast path and ``benchmarks/bench_batch_engine.py`` use to
 advance whole cohorts without per-packet Python callbacks:
 
@@ -38,24 +37,16 @@ advance whole cohorts without per-packet Python callbacks:
 * :func:`windowed_lane_bytes` — per-(lane, window) byte totals in one
   ``np.bincount``, the axis-wise reduction behind cohort throughput
   windows.
-
-Cancellation is lazy exactly like the scalar engine, with the same
-compaction policy: when cancelled entries outnumber live ones the arena
-and pending buffers are merged and filtered in one vectorized pass, so
-fault-heavy cohorts cannot grow the queue without bound.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.netsim.engine import (
-    COMPACT_MIN_QUEUE,
-    EventHandle,
-    schedule_periodic,
-)
+from repro.netsim.engine import EventHandle, EventQueue, schedule_periodic
 from repro.obs import metrics as obs_metrics
 
 
@@ -65,7 +56,12 @@ class BatchHandle(EventHandle):
     __slots__ = ("lane",)
 
     def __init__(self, time: float, seq: int, lane: int) -> None:
-        super().__init__(time, seq)
+        # Every lane event builds one: setting the slots here instead of
+        # calling EventHandle.__init__ saves ~10% of a lane event's cost.
+        self.time = time
+        self._seq = seq
+        self._cancelled = False
+        self._fired = False
         self.lane = lane
 
 
@@ -79,50 +75,31 @@ class CohortHandle(EventHandle):
 
     __slots__ = ("lanes",)
 
+    #: No single lane: the event is booked to every lane in ``lanes``.
+    lane = None
+
     def __init__(self, time: float, seq: int, lanes: np.ndarray) -> None:
         super().__init__(time, seq)
         self.lanes = lanes
 
 
-class BatchSimulator:
+class BatchSimulator(EventQueue):
     """Shared event loop advancing N independent lanes (sessions).
 
-    The queue is split into a time-sorted *arena* (struct-of-arrays,
-    walked by a cursor) and an unsorted *pending* buffer fed by
-    ``schedule``.  The loop fires from the arena and merges the pending
-    buffer in — one vectorized lexsort — only when a pending event would
-    fire before the arena front.  For media workloads, where callbacks
-    schedule a little ahead of now, this batches thousands of events per
-    sort.
+    Every lane event is an ordinary heap entry whose handle names its
+    lane (:class:`BatchHandle`) or lanes (:class:`CohortHandle`); the
+    fire loop books each event to those lanes as it pops it.
     """
 
     def __init__(self, n_lanes: int = 0) -> None:
-        self._now = 0.0
-        self._seq = 0
-        self._running = False
-        # Sorted arena (struct of arrays) + walk cursor.
-        self._at = np.empty(0, dtype=np.float64)
-        self._as = np.empty(0, dtype=np.int64)
-        self._ah: List[EventHandle] = []
-        self._acb: List[Callable[[], Any]] = []
-        self._cursor = 0
-        # Unsorted pending buffer (plain appends; merged lazily).
-        self._pt: List[float] = []
-        self._ps: List[int] = []
-        self._ph: List[EventHandle] = []
-        self._pcb: List[Callable[[], Any]] = []
-        self._pmin_time = float("inf")
-        self._cancelled_pending = 0
-        # Per-lane attribution (satellite: counters are not one global
-        # blob in batch mode).
+        super().__init__()
+        # Per-lane attribution: counters are not one global blob in
+        # batch mode.  Fired is derived: scheduled - cancelled - live.
         self._scheduled: List[int] = []
-        self._fired: List[int] = []
         self._cancelled: List[int] = []
+        self._live: List[int] = []
         self._lane_high_water: List[int] = []
         self._lane_probes: Dict[int, Callable[[str, float, EventHandle], Any]] = {}
-        self.merges = 0
-        self.queue_high_water = 0
-        self._published: Dict[str, float] = {}
         for _ in range(n_lanes):
             self.add_lane()
 
@@ -139,8 +116,8 @@ class BatchSimulator:
         """Add one lane and return its scalar-compatible view."""
         lane = len(self._scheduled)
         self._scheduled.append(0)
-        self._fired.append(0)
         self._cancelled.append(0)
+        self._live.append(0)
         self._lane_high_water.append(0)
         return LaneSimulator(self, lane)
 
@@ -151,13 +128,8 @@ class BatchSimulator:
         return LaneSimulator(self, index)
 
     # ------------------------------------------------------------------
-    # Clock and scheduling
+    # Scheduling
     # ------------------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds (shared by all lanes)."""
-        return self._now
 
     def schedule(self, lane: int, delay: float,
                  callback: Callable[[], Any]) -> BatchHandle:
@@ -169,20 +141,8 @@ class BatchSimulator:
     def schedule_at(self, lane: int, time: float,
                     callback: Callable[[], Any]) -> BatchHandle:
         """Run ``callback`` on ``lane`` at absolute simulated ``time``."""
-        if time < self._now:
-            raise ValueError(
-                f"cannot schedule at {time:.6f}, clock already at "
-                f"{self._now:.6f}"
-            )
-        seq = self._seq
-        self._seq = seq + 1
-        handle = BatchHandle(time, seq, lane)
-        self._append_pending(time, seq, handle, callback)
-        self._scheduled[lane] += 1
-        live = (self._scheduled[lane] - self._fired[lane]
-                - self._cancelled[lane])
-        if live > self._lane_high_water[lane]:
-            self._lane_high_water[lane] = live
+        handle = self._push(time, callback, BatchHandle, lane)
+        self._book(lane)
         if self._lane_probes:
             probe = self._lane_probes.get(lane)
             if probe is not None:
@@ -193,100 +153,49 @@ class BatchSimulator:
                         callback: Callable[[], Any]) -> CohortHandle:
         """Schedule one vectorized event attributed to many lanes.
 
-        The callback runs once; scheduled/fired counters advance on every
-        listed lane, so per-session accounting folds correctly even when
-        a whole cohort advances in one struct-of-arrays step.
+        The callback runs once; scheduled/fired counters and queue
+        high-water marks advance on every listed lane, so per-session
+        accounting folds correctly even when a whole cohort advances in
+        one struct-of-arrays step.
         """
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
-        time = self._now + delay
         lanes_arr = np.asarray(lanes, dtype=np.int64)
         if lanes_arr.size == 0:
             raise ValueError("a cohort event needs at least one lane")
         if lanes_arr.min() < 0 or lanes_arr.max() >= self.n_lanes:
             raise IndexError("cohort lane out of range")
-        seq = self._seq
-        self._seq = seq + 1
-        handle = CohortHandle(time, seq, lanes_arr)
-        self._append_pending(time, seq, handle, callback)
+        handle = self._push(self._now + delay, callback, CohortHandle,
+                            lanes_arr)
         for lane in lanes_arr.tolist():  # tolist: cheap Python ints
-            self._scheduled[lane] += 1
+            self._book(lane)
         return handle
 
-    def _append_pending(self, time: float, seq: int, handle: EventHandle,
-                        callback: Callable[[], Any]) -> None:
-        self._pt.append(time)
-        self._ps.append(seq)
-        self._ph.append(handle)
-        self._pcb.append(callback)
-        if time < self._pmin_time:
-            self._pmin_time = time
-        depth = (len(self._at) - self._cursor) + len(self._pt)
-        if depth > self.queue_high_water:
-            self.queue_high_water = depth
+    def _book(self, lane: int) -> None:
+        """Count one newly scheduled event on ``lane``."""
+        self._scheduled[lane] += 1
+        live = self._live[lane] + 1
+        self._live[lane] = live
+        if live > self._lane_high_water[lane]:
+            self._lane_high_water[lane] = live
 
     def cancel(self, handle: EventHandle) -> bool:
         """Revoke a scheduled event before it fires (lazy, O(1))."""
-        if not handle.active:
+        if not self._revoke(handle):
             return False
-        handle._cancelled = True
-        self._cancelled_pending += 1
-        if isinstance(handle, CohortHandle):
-            for lane in handle.lanes.tolist():
+        lane = handle.lane  # type: ignore[attr-defined]
+        if lane is None:
+            for lane in handle.lanes.tolist():  # type: ignore[attr-defined]
                 self._cancelled[lane] += 1
+                self._live[lane] -= 1
         else:
-            lane = handle.lane  # type: ignore[attr-defined]
             self._cancelled[lane] += 1
+            self._live[lane] -= 1
             if self._lane_probes:
                 probe = self._lane_probes.get(lane)
                 if probe is not None:
                     probe("cancel", handle.time, handle)
-        depth = (len(self._at) - self._cursor) + len(self._pt)
-        if (self._cancelled_pending * 2 > depth
-                and depth >= COMPACT_MIN_QUEUE):
-            self._merge()
         return True
-
-    # ------------------------------------------------------------------
-    # The struct-of-arrays queue
-    # ------------------------------------------------------------------
-
-    def _merge(self) -> None:
-        """Fold the pending buffer into the arena with one lexsort.
-
-        Also drops every cancelled entry (this doubles as the compaction
-        pass), so ordering keys are untouched and firing order is exactly
-        what lazy popping would have produced.
-        """
-        at = self._at[self._cursor:]
-        asq = self._as[self._cursor:]
-        ah = self._ah[self._cursor:]
-        acb = self._acb[self._cursor:]
-        if self._pt:
-            at = np.concatenate([at, np.asarray(self._pt, dtype=np.float64)])
-            asq = np.concatenate([asq, np.asarray(self._ps, dtype=np.int64)])
-            ah = ah + self._ph
-            acb = acb + self._pcb
-            self._pt, self._ps, self._ph, self._pcb = [], [], [], []
-            self._pmin_time = float("inf")
-        if self._cancelled_pending:
-            live = np.fromiter(
-                (not h._cancelled for h in ah), dtype=bool, count=len(ah)
-            )
-            if not live.all():
-                keep = np.flatnonzero(live)
-                at = at[keep]
-                asq = asq[keep]
-                ah = [ah[i] for i in keep]
-                acb = [acb[i] for i in keep]
-            self._cancelled_pending = 0
-        order = np.lexsort((asq, at))
-        self._at = at[order]
-        self._as = asq[order]
-        self._ah = [ah[i] for i in order]
-        self._acb = [acb[i] for i in order]
-        self._cursor = 0
-        self.merges += 1
 
     def run(self, until: Optional[float] = None) -> None:
         """Fire events in global ``(time, seq)`` order.
@@ -295,43 +204,29 @@ class BatchSimulator:
         ``until`` the clock stops there and later events stay queued;
         without it the queue drains completely.
         """
-        if self._running:
-            raise RuntimeError("simulator is not reentrant")
-        if until is not None and until < self._now:
-            raise ValueError(
-                f"cannot run until {until:.6f}, clock already at "
-                f"{self._now:.6f}"
-            )
-        self._running = True
+        self._enter_run(until)
+        queue = self._queue  # compaction mutates in place, never rebinds
+        pop = heapq.heappop
+        live = self._live
         probes = self._lane_probes
         try:
-            while True:
-                if self._cursor >= len(self._at):
-                    if not self._pt:
-                        break
-                    self._merge()
-                    continue
-                if self._pt and self._pmin_time < self._at[self._cursor]:
-                    self._merge()
-                    continue
-                handle = self._ah[self._cursor]
+            while queue:
+                time, _seq, callback, handle = queue[0]
                 if handle._cancelled:
-                    self._cursor += 1
+                    pop(queue)
                     self._cancelled_pending -= 1
                     continue
-                time = float(self._at[self._cursor])
                 if until is not None and time > until:
                     break
-                callback = self._acb[self._cursor]
-                self._cursor += 1
+                pop(queue)
                 self._now = time
                 handle._fired = True
-                if isinstance(handle, CohortHandle):
+                lane = handle.lane
+                if lane is None:
                     for lane in handle.lanes.tolist():
-                        self._fired[lane] += 1
+                        live[lane] -= 1
                 else:
-                    lane = handle.lane  # type: ignore[attr-defined]
-                    self._fired[lane] += 1
+                    live[lane] -= 1
                     if probes:
                         probe = probes.get(lane)
                         if probe is not None:
@@ -355,25 +250,26 @@ class BatchSimulator:
     @property
     def events_fired(self) -> int:
         """Total callbacks fired across all lanes."""
-        return sum(self._fired)
+        return (sum(self._scheduled) - sum(self._cancelled)
+                - sum(self._live))
 
     @property
     def events_cancelled(self) -> int:
         """Total cancellations across all lanes."""
         return sum(self._cancelled)
 
-    def pending_events(self) -> int:
-        """Live (non-cancelled) events still queued, all lanes."""
-        return ((len(self._at) - self._cursor) + len(self._pt)
-                - self._cancelled_pending)
+    def _lane_fired(self, lane: int) -> int:
+        # Every scheduled event is exactly one of fired, cancelled, live.
+        return (self._scheduled[lane] - self._cancelled[lane]
+                - self._live[lane])
 
     def lane_stats(self, lane: int) -> Dict[str, float]:
         """One lane's counters — same keys as ``Simulator.stats()``."""
         return {
             "events_scheduled": self._scheduled[lane],
-            "events_fired": self._fired[lane],
+            "events_fired": self._lane_fired(lane),
             "events_cancelled": self._cancelled[lane],
-            "heap_compactions": self.merges,
+            "heap_compactions": self.heap_compactions,
             "queue_high_water": self._lane_high_water[lane],
             "sim_time_s": self._now,
         }
@@ -384,27 +280,26 @@ class BatchSimulator:
             "events_scheduled": self.events_scheduled,
             "events_fired": self.events_fired,
             "events_cancelled": self.events_cancelled,
-            "heap_compactions": self.merges,
+            "heap_compactions": self.heap_compactions,
             "queue_high_water": self.queue_high_water,
             "lanes": self.n_lanes,
             "sim_time_s": self._now,
         }
 
     def _publish_metrics(self) -> None:
-        """Flush counter deltas to the process metrics registry."""
-        totals = {
+        """Flush counter deltas to the process metrics registry.
+
+        ``netsim.batch.merges`` counts heap compactions, like the scalar
+        ``netsim.heap_compactions``; the name stays so existing readers
+        of the metric keep working.
+        """
+        self._flush_counters({
             "netsim.batch.events_scheduled": self.events_scheduled,
             "netsim.batch.events_fired": self.events_fired,
             "netsim.batch.events_cancelled": self.events_cancelled,
-            "netsim.batch.merges": self.merges,
+            "netsim.batch.merges": self.heap_compactions,
             "netsim.batch.sim_time_s": self._now,
-        }
-        published = self._published
-        for name, total in totals.items():
-            moved = total - published.get(name, 0)
-            if moved:
-                obs_metrics.counter(name).inc(moved)
-        self._published = totals
+        })
         obs_metrics.gauge("netsim.batch.lanes").set_max(self.n_lanes)
         obs_metrics.gauge("netsim.batch.queue_high_water").set_max(
             self.queue_high_water
@@ -441,7 +336,7 @@ class LaneSimulator:
     @property
     def now(self) -> float:
         """Current simulated time in seconds."""
-        return self._batch.now
+        return self._batch._now
 
     @property
     def on_event(self):
@@ -463,7 +358,7 @@ class LaneSimulator:
     @property
     def events_fired(self) -> int:
         """Callbacks of this lane that ran."""
-        return self._batch._fired[self._lane]
+        return self._batch._lane_fired(self._lane)
 
     @property
     def events_cancelled(self) -> int:
@@ -501,8 +396,7 @@ class LaneSimulator:
 
     def pending_events(self) -> int:
         """Live events still queued on this lane."""
-        return (self.events_scheduled - self.events_fired
-                - self.events_cancelled)
+        return self._batch._live[self._lane]
 
     def stats(self) -> Dict[str, float]:
         """This lane's counters, scalar ``Simulator.stats()`` shaped."""

@@ -27,6 +27,12 @@ mark; see :meth:`Simulator.stats`) which every ``run`` flushes to the
 probe observes every schedule/cancel/fire edge.  The disabled-probe path
 is one ``None`` check per event, held to < 2% loop overhead by
 ``benchmarks/bench_obs_overhead.py``.
+
+The heap, its clock, lazy cancellation and compaction live once, in
+:class:`EventQueue`, which both engines extend: :class:`Simulator` adds
+the scalar scheduling surface and fire loop, and
+:class:`repro.netsim.batch.BatchSimulator` adds per-lane counters, lane
+probes and cohort events on the same heap entries.
 """
 
 from __future__ import annotations
@@ -107,7 +113,113 @@ class EventHandle:
         return f"EventHandle(t={self.time:.6f}, {state})"
 
 
-class Simulator:
+class EventQueue:
+    """The binary heap of ``(time, seq, callback, handle)`` entries.
+
+    Owns what both engines share: the simulated clock, sequence numbers,
+    the queue high-water mark, push, lazy cancellation and compaction.
+    Subclasses add a scheduling surface and a fire loop that pops entries
+    in ``(time, seq)`` order and skips cancelled ones without touching
+    the clock.
+    """
+
+    def __init__(self) -> None:
+        self._now = 0.0
+        self._queue: List[
+            Tuple[float, int, Callable[[], Any], EventHandle]
+        ] = []
+        self._seq = 0
+        self._running = False
+        self._cancelled_pending = 0
+        self.heap_compactions = 0
+        self.queue_high_water = 0
+        self._published: Dict[str, float] = {}
+
+    @property
+    def now(self) -> float:
+        """Current simulated time in seconds."""
+        return self._now
+
+    def _push(self, time: float, callback: Callable[[], Any],
+              handle_type: Callable[..., EventHandle],
+              owner: Any) -> EventHandle:
+        """Check ``time``, number the event and queue it.
+
+        Returns:
+            The entry's handle, ``handle_type(time, seq, owner)``: the
+            subclass handle records who the event is booked to.
+        """
+        if time < self._now:
+            raise ValueError(
+                f"cannot schedule at {time:.6f}, clock already at {self._now:.6f}"
+            )
+        seq = self._seq
+        self._seq = seq + 1
+        handle = handle_type(time, seq, owner)
+        queue = self._queue
+        heapq.heappush(queue, (time, seq, callback, handle))
+        if len(queue) > self.queue_high_water:
+            self.queue_high_water = len(queue)
+        return handle
+
+    def _revoke(self, handle: EventHandle) -> bool:
+        """Cancel lazily: mark the entry, compact when cancelled ones win.
+
+        Returns:
+            False when the event had already fired or been cancelled.
+        """
+        if not handle.active:
+            return False
+        handle._cancelled = True
+        self._cancelled_pending += 1
+        if (self._cancelled_pending * 2 > len(self._queue)
+                and len(self._queue) >= COMPACT_MIN_QUEUE):
+            self._compact()
+        return True
+
+    def _compact(self) -> None:
+        """Drop every cancelled entry and rebuild the heap in place.
+
+        In place (slice assignment) because the fire loops hold a local
+        reference to the queue list; ordering keys are untouched, so
+        firing order is exactly what lazy popping would have produced.
+        """
+        queue = self._queue
+        queue[:] = [entry for entry in queue if not entry[3]._cancelled]
+        heapq.heapify(queue)
+        self._cancelled_pending = 0
+        self.heap_compactions += 1
+
+    def _enter_run(self, until: Optional[float]) -> None:
+        if self._running:
+            raise RuntimeError("simulator is not reentrant")
+        if until is not None and until < self._now:
+            raise ValueError(
+                f"cannot run until {until:.6f}, clock already at "
+                f"{self._now:.6f}"
+            )
+        self._running = True
+
+    def pending_events(self) -> int:
+        """Number of live (non-cancelled) events still queued."""
+        return len(self._queue) - self._cancelled_pending
+
+    def _flush_counters(self, totals: Dict[str, float]) -> None:
+        """Add each counter's growth since the last flush to the registry.
+
+        Called once per ``run``, so many engines (one per session, one
+        session per sweep cell) aggregate into one process view; the
+        per-event hot path never touches the registry.
+        """
+        published = self._published
+        for name, total in totals.items():
+            moved = total - published.get(name, 0)
+            if moved:
+                obs_metrics.counter(name).inc(moved)
+        self._published = totals
+
+
+class Simulator(EventQueue):
     """Event loop with a simulated clock measured in seconds.
 
     Attributes:
@@ -119,25 +231,11 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._now = 0.0
-        self._queue: List[
-            Tuple[float, int, Callable[[], Any], EventHandle]
-        ] = []
-        self._seq = 0
-        self._running = False
-        self._cancelled_pending = 0
+        super().__init__()
         self.on_event: Optional[
             Callable[[str, float, EventHandle], Any]
         ] = None
         self.events_cancelled = 0
-        self.heap_compactions = 0
-        self.queue_high_water = 0
-        self._published: Dict[str, float] = {}
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     @property
     def events_scheduled(self) -> int:
@@ -176,6 +274,9 @@ class Simulator:
         Returns:
             A cancellable handle for the scheduled event.
         """
+        # EventQueue._push, inlined for the owner-less EventHandle: one
+        # more call per event costs ~5% on the probe-off overhead gate
+        # (benchmarks/bench_obs_overhead.py).
         if time < self._now:
             raise ValueError(
                 f"cannot schedule at {time:.6f}, clock already at {self._now:.6f}"
@@ -199,30 +300,12 @@ class Simulator:
             False when it had already fired or was already cancelled
             (cancelling twice is a harmless no-op).
         """
-        if not handle.active:
+        if not self._revoke(handle):
             return False
-        handle._cancelled = True
-        self._cancelled_pending += 1
         self.events_cancelled += 1
         if self.on_event is not None:
             self.on_event("cancel", handle.time, handle)
-        if (self._cancelled_pending * 2 > len(self._queue)
-                and len(self._queue) >= COMPACT_MIN_QUEUE):
-            self._compact()
         return True
-
-    def _compact(self) -> None:
-        """Drop every cancelled entry and rebuild the heap in place.
-
-        In place (slice assignment) because :meth:`run` holds a local
-        reference to the queue list; ordering keys are untouched, so
-        firing order is exactly what lazy popping would have produced.
-        """
-        queue = self._queue
-        queue[:] = [entry for entry in queue if not entry[3]._cancelled]
-        heapq.heapify(queue)
-        self._cancelled_pending = 0
-        self.heap_compactions += 1
 
     def schedule_every(
         self,
@@ -250,14 +333,7 @@ class Simulator:
             ValueError: If ``until`` lies before the current clock — time
                 cannot run backwards.
         """
-        if self._running:
-            raise RuntimeError("simulator is not reentrant")
-        if until is not None and until < self._now:
-            raise ValueError(
-                f"cannot run until {until:.6f}, clock already at "
-                f"{self._now:.6f}"
-            )
-        self._running = True
+        self._enter_run(until)
         queue = self._queue  # compaction mutates in place, never rebinds
         pop = heapq.heappop
         probe = self.on_event
@@ -284,10 +360,6 @@ class Simulator:
             self._running = False
             self._publish_metrics()
 
-    def pending_events(self) -> int:
-        """Number of live (non-cancelled) events still queued."""
-        return len(self._queue) - self._cancelled_pending
-
     def stats(self) -> Dict[str, float]:
         """The engine's built-in counters, as plain numbers."""
         return {
@@ -300,25 +372,14 @@ class Simulator:
         }
 
     def _publish_metrics(self) -> None:
-        """Flush counter deltas to the process metrics registry.
-
-        Called once per :meth:`run`, so many simulators (one per session,
-        one session per sweep cell) aggregate into one process view; the
-        per-event hot path never touches the registry.
-        """
-        totals = {
+        """Flush counter deltas to the process metrics registry."""
+        self._flush_counters({
             "netsim.events_scheduled": self.events_scheduled,
             "netsim.events_fired": self.events_fired,
             "netsim.events_cancelled": self.events_cancelled,
             "netsim.heap_compactions": self.heap_compactions,
             "netsim.sim_time_s": self._now,
-        }
-        published = self._published
-        for name, total in totals.items():
-            moved = total - published.get(name, 0)
-            if moved:
-                obs_metrics.counter(name).inc(moved)
-        self._published = totals
+        })
         obs_metrics.gauge("netsim.queue_high_water").set_max(
             self.queue_high_water
         )

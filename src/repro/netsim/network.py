@@ -26,7 +26,7 @@ cancellable event handles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set
+from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
 
@@ -92,6 +92,7 @@ class Network:
         self.path_model = path_model or DEFAULT_PATH_MODEL
         self.stats = NetworkStats()
         self._attachments: Dict[str, _Attachment] = {}
+        self._core_delay_s: Dict[Tuple[str, str], float] = {}
         self._fault_rng: Optional[np.random.Generator] = None
 
     def attach(
@@ -137,10 +138,20 @@ class Network:
         return attachment.capture
 
     def one_way_delay_s(self, src_address: str, dst_address: str) -> float:
-        """Core one-way delay between two attached hosts, in seconds."""
-        src = self._attachments[src_address].host
-        dst = self._attachments[dst_address].host
-        return self.path_model.one_way_ms(src.location, dst.location) / 1000.0
+        """Core one-way delay between two attached hosts, in seconds.
+
+        Memoized per address pair: attachments are only ever added and
+        hosts never move, so a pair's noise-free delay never changes.
+        """
+        key = (src_address, dst_address)
+        delay = self._core_delay_s.get(key)
+        if delay is None:
+            src = self._attachments[src_address].host
+            dst = self._attachments[dst_address].host
+            delay = self.path_model.one_way_ms(src.location,
+                                               dst.location) / 1000.0
+            self._core_delay_s[key] = delay
+        return delay
 
     # ------------------------------------------------------------------
     # Fault-injection surface
@@ -252,9 +263,8 @@ class Network:
                     packet: Packet) -> None:
         if sender.capture is not None:
             sender.capture.observe(self.sim.now, packet)
-        delay = self.path_model.one_way_ms(
-            sender.host.location, receiver.host.location
-        ) / 1000.0
+        delay = self.one_way_delay_s(sender.host.address,
+                                     receiver.host.address)
         if sender.fault is not None or receiver.fault is not None:
             delay += self._fault_jitter_s(sender.fault, receiver.fault)
 

@@ -9,7 +9,8 @@ Two layers, trading generality against speed:
   :class:`~repro.netsim.engine.Simulator` (the golden differential suite
   enforces this), so existing experiments can batch without changing
   their numbers.  The win is architectural (one engine, one clock, one
-  sorted arena amortized over the whole cohort) and moderate.
+  event heap for the whole cohort), not speed: each lane event costs
+  about what it costs on the scalar engine.
 * :func:`sfu_cohort_downlink` — the struct-of-arrays fast path.  It
   advances an n-participant FaceTime SFU cohort *without per-packet
   Python callbacks*: uplink schedules are generated as arrays, access

@@ -220,6 +220,20 @@ class TestCounterAttribution:
         assert batch.lane_stats(3)["events_cancelled"] == 1
         assert batch.events_fired == 0
 
+    def test_cohort_events_raise_listed_lanes_high_water(self):
+        """Queued cohort events count toward each listed lane's depth,
+        exactly as ``schedule_at`` events do."""
+        batch = BatchSimulator(n_lanes=3)
+        for i in range(3):
+            batch.schedule_cohort(0.1 * (i + 1), [0, 2], lambda: None)
+        batch.lane(2).schedule(0.5, lambda: None)
+        assert batch.lane(0).pending_events() == 3
+        assert batch.lane_stats(0)["queue_high_water"] == 3
+        assert batch.lane_stats(1)["queue_high_water"] == 0
+        assert batch.lane_stats(2)["queue_high_water"] == 4
+        batch.run()
+        assert batch.lane(0).queue_high_water == 3
+
 
 class TestSfuFastPathVsOracle:
     """The struct-of-arrays fan-out reproduces the event-driven SFU."""

@@ -7,7 +7,9 @@ Each test fails on the pre-fix code:
    fault-heavy run (long blackouts revoking far-future deliveries) grew
    the heap without bound.  The fix compacts the heap whenever cancelled
    entries outnumber live ones; these tests pin the bound *and* prove
-   compaction cannot change ``pending_events()`` or firing order.
+   compaction cannot change ``pending_events()`` or firing order, on the
+   scalar engine and on a batch lane (whose heap compacts by the same
+   code, cohort events included).
 
 2. **Numpy scalars poisoned cache keys** — ``canonical()`` raised
    ``TypeError`` for ``np.int64``/``np.float32`` kwargs and let
@@ -34,6 +36,7 @@ import repro.core.cache as cache_mod
 import repro.core.parallel as parallel_mod
 from repro.core.cache import code_fingerprint, set_code_fingerprint, task_key
 from repro.core.parallel import CellTask, TaskRunner
+from repro.netsim.batch import BatchSimulator
 from repro.netsim.engine import COMPACT_MIN_QUEUE, Simulator
 
 
@@ -42,34 +45,61 @@ from repro.netsim.engine import COMPACT_MIN_QUEUE, Simulator
 # ----------------------------------------------------------------------
 
 
-def test_mass_cancellation_keeps_heap_bounded():
+def scalar_engine():
+    """The scalar engine: one object schedules and owns the heap."""
     sim = Simulator()
+    return sim, sim, sim.schedule_at
+
+
+def lane_engine():
+    """Lane 0 of a batch engine; its group events are cohort events."""
+    batch = BatchSimulator(n_lanes=2)
+
+    def cohort_at(time_s, callback):
+        return batch.schedule_cohort(time_s - batch.now, [0, 1], callback)
+
+    return batch.lane(0), batch, cohort_at
+
+
+#: Each case yields ``(sim, heap, group_at)``: the scheduling surface, the
+#: engine that owns the heap, and how to schedule a group event (a cohort
+#: event on a batch lane, a plain event on the scalar engine).
+ENGINES = pytest.mark.parametrize("make_engine", [scalar_engine, lane_engine],
+                                  ids=["scalar", "lane"])
+
+
+@ENGINES
+def test_mass_cancellation_keeps_heap_bounded(make_engine):
+    sim, heap, group_at = make_engine()
     live = [sim.schedule_at(float(i), lambda: None) for i in range(10)]
     doomed = [sim.schedule_at(1000.0 + i * 1e-3, lambda: None)
               for i in range(5000)]
+    doomed.insert(2500, group_at(1002.5, lambda: None))
     for handle in doomed:
         sim.cancel(handle)
     # Pre-fix: all 5000 cancelled entries linger (len(_queue) == 5010).
-    assert len(sim._queue) < 2 * (len(live) + COMPACT_MIN_QUEUE)
-    assert sim.heap_compactions >= 1
+    assert len(heap._queue) < 2 * (len(live) + COMPACT_MIN_QUEUE)
+    assert heap.heap_compactions >= 1
     assert sim.pending_events() == len(live)
     assert sim.events_cancelled == len(doomed)
 
 
-def test_compaction_preserves_firing_order_and_counts():
+@ENGINES
+def test_compaction_preserves_firing_order_and_counts(make_engine):
     fired = []
     reference = []
     # Two identical schedules; only one suffers mass cancellation.
-    noisy, clean = Simulator(), Simulator()
+    (noisy, heap, group_at), (clean, _, _) = make_engine(), make_engine()
     for i in range(400):
         time_s = (i * 37 % 100) + i * 1e-4  # interleaved, all distinct
         noisy.schedule_at(time_s, lambda t=time_s: fired.append(t))
         clean.schedule_at(time_s, lambda t=time_s: reference.append(t))
     doomed = [noisy.schedule_at(500.0 + i * 1e-3, lambda: None)
               for i in range(3000)]
+    doomed.insert(1500, group_at(501.5, lambda: None))
     for handle in doomed:
         noisy.cancel(handle)
-    assert noisy.heap_compactions >= 1
+    assert heap.heap_compactions >= 1
     noisy.run()
     clean.run()
     assert fired == reference
@@ -77,13 +107,15 @@ def test_compaction_preserves_firing_order_and_counts():
     assert noisy.now == clean.now
 
 
-def test_compaction_mid_run_keeps_hoisted_queue_valid():
+@ENGINES
+def test_compaction_mid_run_keeps_hoisted_queue_valid(make_engine):
     """Cancelling (and compacting) from inside a callback must not strand
     the run loop on a stale queue list."""
-    sim = Simulator()
+    sim, heap, group_at = make_engine()
     fired = []
     doomed = [sim.schedule_at(100.0 + i * 1e-3, lambda: None)
               for i in range(200)]
+    doomed.insert(100, group_at(100.1, lambda: None))
 
     def cancel_all() -> None:
         for handle in doomed:
@@ -93,17 +125,19 @@ def test_compaction_mid_run_keeps_hoisted_queue_valid():
     sim.schedule_at(2.0, lambda: fired.append("after"))
     sim.run()
     assert fired == ["after"]
-    assert sim.heap_compactions >= 1
+    assert heap.heap_compactions >= 1
     assert sim.pending_events() == 0
 
 
-def test_small_queues_never_compact():
-    sim = Simulator()
+@ENGINES
+def test_small_queues_never_compact(make_engine):
+    sim, heap, group_at = make_engine()
     handles = [sim.schedule_at(float(i + 1), lambda: None)
-               for i in range(COMPACT_MIN_QUEUE - 2)]
+               for i in range(COMPACT_MIN_QUEUE - 3)]
+    handles.append(group_at(0.5, lambda: None))
     for handle in handles:
         sim.cancel(handle)
-    assert sim.heap_compactions == 0  # rebuild would cost more than lazy pops
+    assert heap.heap_compactions == 0  # rebuild would cost more than lazy pops
     sim.run()
     assert sim.pending_events() == 0
 

@@ -12,6 +12,7 @@ from repro.transport.quic import (
     CONNECTION_ID_BYTES,
     QUIC_MAX_PAYLOAD,
     QuicConnection,
+    _keystream,
     is_quic_datagram,
     parse_header,
 )
@@ -92,6 +93,17 @@ class TestQuicProtection:
         datagram = sender.protect_frame(b"x")[0]
         with pytest.raises(ValueError):
             other.unprotect(datagram)
+
+    @given(st.binary(min_size=1, max_size=3000),
+           st.integers(min_value=0, max_value=2**64 - 1))
+    def test_xor_matches_bytewise_reference(self, data, nonce):
+        """The big-int XOR gives the per-byte loop's bytes, leading zero
+        bytes and all."""
+        conn = make_conn()
+        stream = _keystream(conn._secret, nonce, len(data))
+        reference = bytes(a ^ b for a, b in zip(data, stream))
+        assert conn._xor(nonce, data) == reference
+        assert conn._xor(nonce, stream) == bytes(len(data))
 
     @given(st.binary(min_size=1, max_size=3000))
     def test_roundtrip_property(self, frame):
