@@ -134,15 +134,31 @@ class BatchSimulator(EventQueue):
     def schedule(self, lane: int, delay: float,
                  callback: Callable[[], Any]) -> BatchHandle:
         """Run ``callback`` on ``lane``, ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
         return self.schedule_at(lane, self._now + delay, callback)
 
     def schedule_at(self, lane: int, time: float,
                     callback: Callable[[], Any]) -> BatchHandle:
         """Run ``callback`` on ``lane`` at absolute simulated ``time``."""
-        handle = self._push(time, callback, BatchHandle, lane)
-        self._book(lane)
+        # EventQueue._push and _book, inlined like Simulator.schedule_at:
+        # every lane event of every session comes through here.
+        if not time >= self._now:
+            raise ValueError(
+                f"cannot schedule at {time:.6f}, clock already at {self._now:.6f}"
+            )
+        seq = self._seq
+        self._seq = seq + 1
+        handle = BatchHandle(time, seq, lane)
+        queue = self._queue
+        heapq.heappush(queue, (time, seq, callback, handle))
+        if len(queue) > self.queue_high_water:
+            self.queue_high_water = len(queue)
+        self._scheduled[lane] += 1
+        live = self._live[lane] + 1
+        self._live[lane] = live
+        if live > self._lane_high_water[lane]:
+            self._lane_high_water[lane] = live
         if self._lane_probes:
             probe = self._lane_probes.get(lane)
             if probe is not None:
@@ -158,7 +174,7 @@ class BatchSimulator(EventQueue):
         accounting folds correctly even when a whole cohort advances in
         one struct-of-arrays step.
         """
-        if delay < 0:
+        if not delay >= 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
         lanes_arr = np.asarray(lanes, dtype=np.int64)
         if lanes_arr.size == 0:
@@ -373,7 +389,10 @@ class LaneSimulator:
     def schedule(self, delay: float,
                  callback: Callable[[], Any]) -> BatchHandle:
         """Run ``callback`` ``delay`` seconds from now on this lane."""
-        return self._batch.schedule(self._lane, delay, callback)
+        if not delay >= 0:
+            raise ValueError(f"cannot schedule in the past (delay={delay})")
+        batch = self._batch
+        return batch.schedule_at(self._lane, batch._now + delay, callback)
 
     def schedule_at(self, time: float,
                     callback: Callable[[], Any]) -> BatchHandle:

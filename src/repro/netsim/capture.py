@@ -27,7 +27,7 @@ class Direction(enum.Enum):
     DOWNLINK = "downlink"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CapturedPacket:
     """One record in a capture file."""
 
@@ -62,19 +62,11 @@ class PacketCapture:
             direction = Direction.DOWNLINK
         else:
             return  # not our host's traffic; a real AP capture filters too
-        self.records.append(
-            CapturedPacket(
-                timestamp=timestamp,
-                direction=direction,
-                wire_bytes=packet.wire_bytes,
-                src=packet.src,
-                dst=packet.dst,
-                src_port=packet.src_port,
-                dst_port=packet.dst_port,
-                protocol=packet.protocol,
-                snap=packet.payload[:SNAP_BYTES],
-            )
-        )
+        self.records.append(CapturedPacket(
+            timestamp, direction, packet.wire_bytes, packet.src, packet.dst,
+            packet.src_port, packet.dst_port, packet.protocol,
+            packet.payload[:SNAP_BYTES],
+        ))
 
     def filter(
         self,

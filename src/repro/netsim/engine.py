@@ -64,7 +64,7 @@ def schedule_periodic(
     times: each tick is computed multiplicatively from the base
     (``base + (tick + 1) * interval``) with the same float operations.
     """
-    if interval <= 0:
+    if not interval > 0:
         raise ValueError(f"interval must be positive, got {interval}")
     base = max(start, sim.now)
 
@@ -149,7 +149,8 @@ class EventQueue:
             The entry's handle, ``handle_type(time, seq, owner)``: the
             subclass handle records who the event is booked to.
         """
-        if time < self._now:
+        # ``not >=`` rather than ``<``: one comparison that also rejects NaN.
+        if not time >= self._now:
             raise ValueError(
                 f"cannot schedule at {time:.6f}, clock already at {self._now:.6f}"
             )
@@ -193,7 +194,7 @@ class EventQueue:
     def _enter_run(self, until: Optional[float]) -> None:
         if self._running:
             raise RuntimeError("simulator is not reentrant")
-        if until is not None and until < self._now:
+        if until is not None and not until >= self._now:
             raise ValueError(
                 f"cannot run until {until:.6f}, clock already at "
                 f"{self._now:.6f}"
@@ -262,9 +263,10 @@ class Simulator(EventQueue):
             A cancellable handle for the scheduled event.
 
         Raises:
-            ValueError: If ``delay`` is negative — the past is immutable.
+            ValueError: If ``delay`` is negative or NaN — the past is
+                immutable.
         """
-        if delay < 0:
+        if not delay >= 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
         return self.schedule_at(self._now + delay, callback)
 
@@ -277,7 +279,7 @@ class Simulator(EventQueue):
         # EventQueue._push, inlined for the owner-less EventHandle: one
         # more call per event costs ~5% on the probe-off overhead gate
         # (benchmarks/bench_obs_overhead.py).
-        if time < self._now:
+        if not time >= self._now:
             raise ValueError(
                 f"cannot schedule at {time:.6f}, clock already at {self._now:.6f}"
             )

@@ -8,8 +8,9 @@ queue behind it, and the queue is drop-tail bounded in bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 from repro.netsim.engine import Simulator
 from repro.netsim.packet import Packet
@@ -39,9 +40,9 @@ class Link:
         queue_bytes: int = 256 * 1024,
         name: str = "link",
     ) -> None:
-        if rate_bps <= 0:
+        if not rate_bps > 0:
             raise ValueError(f"link rate must be positive, got {rate_bps}")
-        if queue_bytes <= 0:
+        if not queue_bytes > 0:
             raise ValueError(f"queue must be positive, got {queue_bytes}")
         self.rate_bps = rate_bps
         self.queue_bytes = queue_bytes
@@ -58,9 +59,9 @@ class Link:
         packets offered after the change see the new rate.
 
         Raises:
-            ValueError: For a non-positive rate.
+            ValueError: For a non-positive or NaN rate.
         """
-        if rate_bps <= 0:
+        if not rate_bps > 0:
             raise ValueError(f"link rate must be positive, got {rate_bps}")
         self.rate_bps = rate_bps
 
@@ -94,19 +95,26 @@ class Link:
         Returns:
             False when the drop-tail queue rejected the packet.
         """
+        stats = self.stats
         if not self.up:
-            self.stats.packets_dropped += 1
+            stats.packets_dropped += 1
             return False
+        # backlog_bytes and serialization_delay inlined, with the exact
+        # same float expressions, so departures stay bit-identical to
+        # repro.netsim.batch.drop_tail_departures.
         now = sim.now
-        if self.backlog_bytes(now) + packet.wire_bytes > self.queue_bytes:
-            self.stats.packets_dropped += 1
+        wire = packet.wire_bytes
+        rate_bps = self.rate_bps
+        busy = self._busy_until
+        backlog = int((busy - now) * rate_bps / 8.0) if busy > now else 0
+        if backlog + wire > self.queue_bytes:
+            stats.packets_dropped += 1
             return False
-        start = max(now, self._busy_until)
-        done = start + self.serialization_delay(packet)
+        done = (busy if busy > now else now) + wire * 8.0 / rate_bps
         self._busy_until = done
-        self.stats.packets_sent += 1
-        self.stats.bytes_sent += packet.wire_bytes
-        sim.schedule_at(done + extra_delay, lambda: on_transmitted(packet))
+        stats.packets_sent += 1
+        stats.bytes_sent += wire
+        sim.schedule_at(done + extra_delay, partial(on_transmitted, packet))
         return True
 
     def utilization(self, now: float) -> float:

@@ -25,8 +25,10 @@ cancellable event handles.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set, Tuple
+from functools import partial
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -58,7 +60,7 @@ class LinkFault:
     def __post_init__(self) -> None:
         if not 0.0 <= self.loss <= 1.0:
             raise ValueError(f"loss must be in [0, 1], got {self.loss}")
-        if self.jitter_ms < 0:
+        if not self.jitter_ms >= 0:
             raise ValueError(f"jitter must be non-negative, got {self.jitter_ms}")
 
 
@@ -72,7 +74,8 @@ class _Attachment:
     downlink_shaper: Optional[TrafficShaper] = None
     capture: Optional[PacketCapture] = None
     fault: Optional[LinkFault] = None
-    inflight: Set[EventHandle] = field(default_factory=set)
+    #: Pending core crossings headed here, by crossing token.
+    inflight: Dict[int, EventHandle] = field(default_factory=dict)
 
 
 @dataclass
@@ -94,6 +97,7 @@ class Network:
         self._attachments: Dict[str, _Attachment] = {}
         self._core_delay_s: Dict[Tuple[str, str], float] = {}
         self._fault_rng: Optional[np.random.Generator] = None
+        self._crossings = itertools.count()
 
     def attach(
         self,
@@ -193,7 +197,7 @@ class Network:
         """
         attachment = self._attachments[address]
         dropped = 0
-        for handle in attachment.inflight:
+        for handle in attachment.inflight.values():
             if self.sim.cancel(handle):
                 dropped += 1
         attachment.inflight.clear()
@@ -202,10 +206,8 @@ class Network:
             attachment.fault.packets_dropped += dropped
         return dropped
 
-    def _fault_drops(self, fault: Optional[LinkFault]) -> bool:
+    def _fault_drops(self, fault: LinkFault) -> bool:
         """Whether ``fault`` destroys the next packet (draws RNG on loss)."""
-        if fault is None:
-            return False
         if fault.blackout:
             fault.packets_dropped += 1
             return True
@@ -226,75 +228,83 @@ class Network:
     # ------------------------------------------------------------------
 
     def send(self, packet: Packet) -> bool:
-        """Inject a packet at its source host's uplink."""
+        """Inject a packet at its source host's uplink.
+
+        Each hop is a ``functools.partial`` of a bound method, which
+        :meth:`Link.transmit` extends with the packet (``partial``
+        flattens nested partials), so a hop costs one Python frame.  A
+        clean packet costs three engine events: AP uplink, core crossing,
+        AP downlink (plus one per shaper on its path).
+        """
         sender = self._attachments.get(packet.src)
         receiver = self._attachments.get(packet.dst)
         if sender is None:
             raise KeyError(f"unknown source address {packet.src}")
         if receiver is None:
             raise KeyError(f"unknown destination address {packet.dst}")
-        packet.created_at = self.sim.now
-        self.stats.packets_sent += 1
+        sim = self.sim
+        packet.created_at = sim.now
+        stats = self.stats
+        stats.packets_sent += 1
 
-        if self._fault_drops(sender.fault):
-            self.stats.packets_dropped += 1
+        if sender.fault is not None and self._fault_drops(sender.fault):
+            stats.packets_dropped += 1
             return False
 
-        if sender.uplink_shaper is not None:
-            accepted = sender.uplink_shaper.process(
-                self.sim, packet, lambda p: self._enter_ap_uplink(sender, receiver, p)
-            )
-        else:
-            accepted = True
-            self._enter_ap_uplink(sender, receiver, packet)
+        shaper = sender.uplink_shaper
+        if shaper is None:
+            if not sender.ap.uplink.transmit(
+                    sim, packet, partial(self._cross_core, sender, receiver)):
+                stats.packets_dropped += 1
+            return True
+        accepted = shaper.process(
+            sim, packet, partial(self._enter_ap_uplink, sender, receiver))
         if not accepted:
-            self.stats.packets_dropped += 1
+            stats.packets_dropped += 1
         return accepted
 
     def _enter_ap_uplink(self, sender: _Attachment, receiver: _Attachment,
                          packet: Packet) -> None:
-        accepted = sender.ap.uplink.transmit(
-            self.sim, packet, lambda p: self._cross_core(sender, receiver, p)
-        )
-        if not accepted:
+        if not sender.ap.uplink.transmit(
+                self.sim, packet, partial(self._cross_core, sender, receiver)):
             self.stats.packets_dropped += 1
 
     def _cross_core(self, sender: _Attachment, receiver: _Attachment,
                     packet: Packet) -> None:
+        sim = self.sim
         if sender.capture is not None:
-            sender.capture.observe(self.sim.now, packet)
-        delay = self.one_way_delay_s(sender.host.address,
-                                     receiver.host.address)
+            sender.capture.observe(sim.now, packet)
+        delay = self._core_delay_s.get((packet.src, packet.dst))
+        if delay is None:
+            delay = self.one_way_delay_s(packet.src, packet.dst)
         if sender.fault is not None or receiver.fault is not None:
             delay += self._fault_jitter_s(sender.fault, receiver.fault)
+        token = next(self._crossings)
+        receiver.inflight[token] = sim.schedule(
+            delay, partial(self._arrive_at_receiver, receiver, packet, token))
 
-        def arrive() -> None:
-            receiver.inflight.discard(handle)
-            self._arrive_at_receiver(receiver, packet)
-
-        handle = self.sim.schedule(delay, arrive)
-        receiver.inflight.add(handle)
-
-    def _arrive_at_receiver(self, receiver: _Attachment, packet: Packet) -> None:
-        if self._fault_drops(receiver.fault):
+    def _arrive_at_receiver(self, receiver: _Attachment, packet: Packet,
+                            token: int) -> None:
+        del receiver.inflight[token]
+        if receiver.fault is not None and self._fault_drops(receiver.fault):
             self.stats.packets_dropped += 1
             return
+        sim = self.sim
         if receiver.capture is not None:
-            receiver.capture.observe(self.sim.now, packet)
-        if receiver.downlink_shaper is not None:
-            accepted = receiver.downlink_shaper.process(
-                self.sim, packet, lambda p: self._enter_ap_downlink(receiver, p)
-            )
-            if not accepted:
-                self.stats.packets_dropped += 1
+            receiver.capture.observe(sim.now, packet)
+        shaper = receiver.downlink_shaper
+        if shaper is None:
+            accepted = receiver.ap.downlink.transmit(
+                sim, packet, partial(self._deliver, receiver))
         else:
-            self._enter_ap_downlink(receiver, packet)
+            accepted = shaper.process(
+                sim, packet, partial(self._enter_ap_downlink, receiver))
+        if not accepted:
+            self.stats.packets_dropped += 1
 
     def _enter_ap_downlink(self, receiver: _Attachment, packet: Packet) -> None:
-        accepted = receiver.ap.downlink.transmit(
-            self.sim, packet, lambda p: self._deliver(receiver, p)
-        )
-        if not accepted:
+        if not receiver.ap.downlink.transmit(
+                self.sim, packet, partial(self._deliver, receiver)):
             self.stats.packets_dropped += 1
 
     def _deliver(self, receiver: _Attachment, packet: Packet) -> None:

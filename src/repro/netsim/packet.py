@@ -39,6 +39,10 @@ class Packet:
         created_at: Simulated send timestamp (seconds), stamped by the host.
         meta: Free-form annotations (stream id, frame index, media kind) that
             ride along for analysis; they do not contribute to wire size.
+        wire_bytes: Total on-the-wire size: IP + transport headers +
+            payload.  Fixed at construction (a packet's payload is never
+            reassigned; forwarding and replies build new packets), so the
+            forwarding path reads it instead of recomputing it per hop.
     """
 
     src: str
@@ -50,6 +54,7 @@ class Packet:
     created_at: float = 0.0
     meta: Dict[str, Any] = field(default_factory=dict)
     packet_id: int = field(default_factory=lambda: next(_packet_ids))
+    wire_bytes: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.protocol not in (IPPROTO_UDP, IPPROTO_TCP):
@@ -57,6 +62,8 @@ class Packet:
         for port in (self.src_port, self.dst_port):
             if not 0 < port < 65536:
                 raise ValueError(f"port out of range: {port}")
+        self.wire_bytes = (IPV4_HEADER_BYTES + self.transport_header_bytes
+                           + len(self.payload))
 
     @property
     def transport_header_bytes(self) -> int:
@@ -64,11 +71,6 @@ class Packet:
         if self.protocol == IPPROTO_UDP:
             return UDP_HEADER_BYTES
         return TCP_HEADER_BYTES
-
-    @property
-    def wire_bytes(self) -> int:
-        """Total on-the-wire size: IP + transport headers + payload."""
-        return IPV4_HEADER_BYTES + self.transport_header_bytes + len(self.payload)
 
     def reply_shell(self, payload: bytes = b"") -> "Packet":
         """A packet headed back to this packet's sender (ports swapped)."""

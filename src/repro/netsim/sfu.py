@@ -9,7 +9,7 @@ number of users (Fig. 6(c)).  This module implements exactly that relay.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set
+from typing import Dict, List, Set, Tuple
 
 from repro.geo.coords import GeoPoint
 from repro.netsim.node import Host
@@ -36,21 +36,26 @@ class SelectiveForwardingUnit(Host):
         self.participants: Set[str] = set()
         self.sfu_stats = SfuStats()
         self._participant_ports: Dict[str, int] = {}
+        #: ``(address, port)`` of every participant, sorted by address:
+        #: the fan-out order, kept at (un)registration, not per packet.
+        self._fanout: List[Tuple[str, int]] = []
         self.bind(self.MEDIA_PORT, self._on_media)
 
     def register(self, address: str, port: int) -> None:
         """Admit a participant; media will be forwarded to ``address:port``."""
         self.participants.add(address)
         self._participant_ports[address] = port
+        self._fanout = sorted(self._participant_ports.items())
 
     def unregister(self, address: str) -> None:
         """Remove a participant from the fan-out set."""
         self.participants.discard(address)
         self._participant_ports.pop(address, None)
+        self._fanout = sorted(self._participant_ports.items())
 
     def _on_media(self, packet: Packet) -> None:
         self.sfu_stats.packets_received += 1
-        for address in sorted(self.participants):
+        for address, port in self._fanout:
             if address == packet.src:
                 continue
             # Keep the original source port so flows (audio vs. video)
@@ -58,7 +63,7 @@ class SelectiveForwardingUnit(Host):
             # keep streams apart by SSRC/port.
             copy = packet.forward_to(
                 dst=address,
-                dst_port=self._participant_ports[address],
+                dst_port=port,
                 src=self.address,
                 src_port=packet.src_port,
             )

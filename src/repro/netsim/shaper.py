@@ -9,6 +9,7 @@ random loss, and can be installed on a host's uplink or downlink in
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -22,7 +23,8 @@ class TrafficShaper:
     """netem/tbf-style shaper: fixed delay, rate limit, random loss.
 
     Args:
-        rate_bps: Token-bucket rate limit; None leaves rate unconstrained.
+        rate_bps: Token-bucket rate limit; None leaves rate unconstrained
+            (a rate of 0 raises, like :class:`Link`).
         delay_ms: Extra one-way delay added to every packet.
         loss: Independent per-packet drop probability in [0, 1).
         queue_bytes: Buffer in front of the rate limiter; packets beyond it
@@ -39,14 +41,15 @@ class TrafficShaper:
         queue_bytes: int = 64 * 1024,
         seed: int = 0,
     ) -> None:
-        if delay_ms < 0:
+        if not delay_ms >= 0:
             raise ValueError(f"delay must be non-negative, got {delay_ms}")
         if not 0.0 <= loss < 1.0:
             raise ValueError(f"loss must be in [0, 1), got {loss}")
         self.delay_ms = delay_ms
         self.loss = loss
         self._limiter = (
-            Link(rate_bps, queue_bytes=queue_bytes, name="shaper") if rate_bps else None
+            Link(rate_bps, queue_bytes=queue_bytes, name="shaper")
+            if rate_bps is not None else None
         )
         self._rng = np.random.default_rng(seed)
         self.packets_dropped = 0
@@ -79,7 +82,7 @@ class TrafficShaper:
         if self._limiter is None:
             self.packets_passed += 1
             self.bytes_passed += packet.wire_bytes
-            sim.schedule(extra, lambda: deliver(packet))
+            sim.schedule(extra, partial(deliver, packet))
             return True
         accepted = self._limiter.transmit(sim, packet, deliver, extra_delay=extra)
         if accepted:

@@ -24,7 +24,7 @@ class WiFiAccessPoint:
         throughput_mbps: float = calibration.WIFI_AP_MBPS,
         queue_bytes: int = 512 * 1024,
     ) -> None:
-        if throughput_mbps <= 0:
+        if not throughput_mbps > 0:
             raise ValueError(f"AP throughput must be positive, got {throughput_mbps}")
         rate_bps = throughput_mbps * 1e6
         self.name = name

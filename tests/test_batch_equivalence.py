@@ -17,6 +17,7 @@ Every test here holds the two execution paths together:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.throughput import (
     cohort_throughput_windows_mbps,
@@ -286,6 +287,29 @@ class TestKernelsVsScalarLink:
         s_dep, s_acc = self._offer_to_scalar_link(times, wires, rate, queue)
         assert np.array_equal(k_acc, s_acc)
         assert np.array_equal(k_dep[k_acc], s_dep[s_acc])  # no tolerance
+        assert np.isnan(k_dep[~k_acc]).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rate=st.floats(min_value=1e4, max_value=1e9, allow_nan=False),
+        queue=st.integers(min_value=28, max_value=200_000),
+        # (arrival slot, wire size): few slots, so arrivals often tie.
+        offers=st.lists(st.tuples(st.integers(min_value=0, max_value=12),
+                                  st.integers(min_value=28, max_value=1528)),
+                        min_size=1, max_size=80),
+        spacing=st.floats(min_value=1e-6, max_value=0.05, allow_nan=False),
+    )
+    def test_drop_tail_kernel_is_bit_exact_on_random_links(
+            self, rate, queue, offers, spacing):
+        """Link.transmit and the kernel agree with no tolerance: random
+        rates, queue sizes and packet sizes, tied arrival times."""
+        offers = sorted(offers, key=lambda offer: offer[0])
+        times = np.array([slot * spacing for slot, _ in offers])
+        wires = np.array([wire for _, wire in offers])
+        k_dep, k_acc = drop_tail_departures(times, wires, rate, queue)
+        s_dep, s_acc = self._offer_to_scalar_link(times, wires, rate, queue)
+        assert np.array_equal(k_acc, s_acc)
+        assert np.array_equal(k_dep[k_acc], s_dep[s_acc])
         assert np.isnan(k_dep[~k_acc]).all()
 
     def test_fifo_kernel_matches_sequential_recurrence(self):
