@@ -239,13 +239,13 @@ def _semantic_over_lossy_link(loss: float, use_fec: bool, k: int,
     """Delivered-frame availability of a semantic stream under loss."""
     from repro.geo.regions import city
     from repro.keypoints.codec import EncodedKeypointFrame, SemanticCodec
-    from repro.keypoints.motion import MotionSynthesizer
     from repro.netsim.engine import Simulator
     from repro.netsim.network import Network
     from repro.netsim.node import Host
     from repro.netsim.packet import IPPROTO_UDP, Packet
     from repro.netsim.shaper import TrafficShaper
     from repro.transport.fec import FecDecoder, FecEncoder, FecPacket
+    from repro.vca.media import semantic_pool
 
     sim = Simulator()
     network = Network(sim)
@@ -257,11 +257,7 @@ def _semantic_over_lossy_link(loss: float, use_fec: bool, k: int,
         sender.address, TrafficShaper(loss=loss, seed=seed)
     )
     codec = SemanticCodec(seed=seed)
-    synth = MotionSynthesizer(fps=calibration.TARGET_FPS, seed=seed)
-    pool = [
-        codec.encode(f, include_confidence=False).payload
-        for f in synth.frames(128)
-    ]
+    pool = semantic_pool(float(calibration.TARGET_FPS), seed, 128)
     encoder = FecEncoder(k=k) if use_fec else None
     decoder = FecDecoder()
     delivered = []

@@ -29,8 +29,6 @@ import numpy as np
 
 from repro import calibration
 from repro.faults.ladder import LadderLevel
-from repro.keypoints.codec import SemanticCodec
-from repro.keypoints.motion import MotionSynthesizer
 from repro.mesh.codec import DracoLikeCodec
 from repro.mesh.generate import head_mesh
 from repro.mesh.simplify import decimate_to_target
@@ -39,7 +37,12 @@ from repro.netsim.engine import Simulator
 from repro.netsim.node import Host
 from repro.netsim.packet import IPPROTO_UDP, MEDIA_MTU_BYTES, Packet
 from repro.transport.fec import AdaptiveFecPolicy, FecEncoder
-from repro.vca.media import MEDIA_PORT, MediaTarget, quic_connection_for
+from repro.vca.media import (
+    MEDIA_PORT,
+    MediaTarget,
+    quic_connection_for,
+    semantic_pool,
+)
 
 #: Approximate per-packet overhead (IP + UDP) used for nominal wire rates.
 _PACKET_OVERHEAD_BYTES = 28
@@ -124,12 +127,7 @@ class LadderedPersonaSource:
                                             tolerance=0.35)
             self._simplified.append(geometry.encode(simplified).payload)
 
-        codec = SemanticCodec(seed=seed)
-        synth = MotionSynthesizer(fps=fps, seed=seed)
-        self._keypoints = [
-            codec.encode(frame, include_confidence=False).payload
-            for frame in synth.frames(keypoint_pool)
-        ]
+        self._keypoints = semantic_pool(fps, seed, keypoint_pool)
         self._frame_index = 0
         self.frames_per_level: Dict[LadderLevel, int] = {
             level: 0 for level in LadderLevel

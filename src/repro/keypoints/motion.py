@@ -11,6 +11,7 @@ compressed bitrate of the semantic codec.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -93,8 +94,8 @@ class MotionSynthesizer:
     _rng: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.fps <= 0:
-            raise ValueError(f"fps must be positive, got {self.fps}")
+        if not 0 < self.fps < math.inf:
+            raise ValueError(f"fps must be positive and finite, got {self.fps}")
         if not 0.0 <= self.speech_activity <= 1.0:
             raise ValueError("speech_activity must be in [0, 1]")
         self._rng = np.random.default_rng(self.seed)

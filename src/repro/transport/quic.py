@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional
 
 #: RFC 9000: the "fixed bit" — set on every QUIC packet.
@@ -32,6 +33,9 @@ PACKET_NUMBER_BYTES = 4
 
 #: Short header: flags(1) + dcid(8) + packet number(4).
 SHORT_HEADER_BYTES = 1 + CONNECTION_ID_BYTES + PACKET_NUMBER_BYTES
+#: Long header: flags(1) + version(4) + dcid length(1) + dcid(8) +
+#: packet number(4).
+LONG_HEADER_BYTES = 6 + CONNECTION_ID_BYTES + PACKET_NUMBER_BYTES
 
 #: Per-packet payload budget inside the media MTU.
 QUIC_MAX_PAYLOAD = 1175
@@ -71,7 +75,7 @@ def parse_header(data: bytes) -> QuicPacketHeader:
         raise ValueError("not a QUIC datagram (fixed bit clear or too short)")
     first = data[0]
     if first & QUIC_LONG_HEADER_BIT:
-        if len(data) < 7 + CONNECTION_ID_BYTES:
+        if len(data) < LONG_HEADER_BYTES:
             raise ValueError("truncated long header")
         packet_type = (first >> 4) & 0x3
         # version(4) | dcid_len(1) | dcid | ... ; we emit fixed-size fields.
@@ -94,6 +98,22 @@ def _keystream(key: bytes, nonce: int, length: int) -> bytes:
         out.extend(block)
         counter += 1
     return bytes(out[:length])
+
+
+#: Keystream bytes cached per (secret, packet number): 37 SHA-256 blocks,
+#: the fewest that cover the largest payload (``QUIC_MAX_PAYLOAD``).
+_PAD_BYTES = 37 * 32
+
+
+@lru_cache(maxsize=2048)
+def _keystream_pad(key: bytes, nonce: int) -> int:
+    """The first ``_PAD_BYTES`` of the keystream, as a big-endian int.
+
+    Every connection in a session shares the secret and numbers its
+    packets from 0, so one pad serves packet n of every sender and of
+    every receiver that decrypts it.
+    """
+    return int.from_bytes(_keystream(key, nonce, _PAD_BYTES), "big")
 
 
 class QuicConnection:
@@ -163,7 +183,7 @@ class QuicConnection:
         header = parse_header(datagram)
         if header.dcid != self.dcid:
             raise ValueError("connection ID mismatch")
-        offset = SHORT_HEADER_BYTES if not header.long_form else 10 + CONNECTION_ID_BYTES
+        offset = LONG_HEADER_BYTES if header.long_form else SHORT_HEADER_BYTES
         ciphertext = datagram[offset:]
         return self._xor(header.packet_number, ciphertext)
 
@@ -171,10 +191,16 @@ class QuicConnection:
         return self._xor(number, plaintext)
 
     def _xor(self, nonce: int, data: bytes) -> bytes:
-        # One big-int XOR instead of a per-byte loop; same bytes out.
-        stream = _keystream(self._secret, nonce, len(data))
-        return (int.from_bytes(data, "big")
-                ^ int.from_bytes(stream, "big")).to_bytes(len(data), "big")
+        # One big-int XOR instead of a per-byte loop; same bytes out.  The
+        # keystream of length L is the first L bytes of the pad.
+        length = len(data)
+        if length <= _PAD_BYTES:
+            stream = (_keystream_pad(self._secret, nonce)
+                      >> (8 * (_PAD_BYTES - length)))
+        else:
+            stream = int.from_bytes(
+                _keystream(self._secret, nonce, length), "big")
+        return (int.from_bytes(data, "big") ^ stream).to_bytes(length, "big")
 
     def _next_number(self) -> int:
         number = self._packet_number

@@ -60,7 +60,11 @@ from repro.netsim.batch import (
 from repro.netsim.packet import IPV4_HEADER_BYTES, UDP_HEADER_BYTES
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.vca.media import quic_connection_for
+from repro.vca.media import (
+    SEMANTIC_POOL_FRAMES,
+    build_semantic_pool,
+    quic_connection_for,
+)
 from repro.vca.profiles import PROFILES
 from repro.vca.session import SessionResult, TelepresenceSession
 
@@ -224,20 +228,21 @@ def _quic_chunk_wire_sizes(frame_bytes: int) -> List[int]:
     return sizes or [SHORT_HEADER_BYTES + _HEADER_BYTES]
 
 
-def _semantic_pools(session_secret: bytes, seed: int, n: int,
+def _semantic_pools(seed: int, n: int,
                     pool_library: int) -> List[List[int]]:
     """Per-user semantic frame-length tables (bytes, pre-QUIC).
 
     Exact :class:`~repro.vca.media.SemanticSource` pools (same per-user
     seeds) for the first ``pool_library`` users; beyond that users cycle
-    the library — the documented large-cohort approximation.
+    the library — the documented large-cohort approximation.  Built
+    uncached: a cohort's per-user seeds never repeat.
     """
-    from repro.vca.media import SemanticSource
-
+    fps = float(calibration.TARGET_FPS)
     library: List[List[int]] = []
     for index in range(min(n, pool_library)):
-        source = SemanticSource(session_secret, seed=seed * 1000 + index)
-        library.append([len(payload) for payload in source._pool])
+        pool = build_semantic_pool(fps, seed * 1000 + index,
+                                   SEMANTIC_POOL_FRAMES)
+        library.append([len(payload) for payload in pool])
     return [library[index % len(library)] for index in range(n)]
 
 
@@ -413,7 +418,7 @@ def sfu_cohort_downlink(
     ))
     audio_wire = _quic_chunk_wire_sizes(audio_payload)[0]
 
-    pools = _semantic_pools(session_secret, seed, n, pool_library)
+    pools = _semantic_pools(seed, n, pool_library)
 
     # ------------------------------------------------------------------
     # Uplinks: per-user schedule -> work-conserving AP service.

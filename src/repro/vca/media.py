@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from functools import lru_cache
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,6 +35,29 @@ AUDIO_SRC_PORT = 40002
 
 #: Overhead-corrected payload fraction: RTP(12)+UDP(8)+IP(20) on ~1.2 KB.
 _PAYLOAD_FRACTION = 1188.0 / (1188.0 + 40.0)
+
+#: Frames in a :class:`SemanticSource` pool.
+SEMANTIC_POOL_FRAMES = 256
+
+
+def build_semantic_pool(fps: float, seed: int, size: int) -> Tuple[bytes, ...]:
+    """``size`` LZMA keypoint frames of one seeded capture, pre-QUIC.
+
+    Production FaceTime profile: no extractor confidence channel (Fig. 4
+    anchor: ~0.67 Mbps total uplink including audio).  A pure function of
+    its arguments, so the pool can be shared.
+    """
+    codec = SemanticCodec(seed=seed)
+    synth = MotionSynthesizer(fps=fps, seed=seed)
+    return tuple(
+        codec.encode(frame, include_confidence=False).payload
+        for frame in synth.frames(size)
+    )
+
+
+#: Per-process pool cache.  A session's sources replay the same
+#: (fps, seed, size) across a sweep's calls; a pool is ~0.2 MB.
+semantic_pool = lru_cache(maxsize=16)(build_semantic_pool)
 
 
 def quic_connection_for(sender_address: str, session_secret: bytes) -> QuicConnection:
@@ -158,9 +182,9 @@ class VideoSource:
 class SemanticSource:
     """The spatial persona stream: LZMA keypoint frames over QUIC, 90 FPS.
 
-    Pre-encodes a pool of captured frames (motion synthesis + semantic
-    codec) and cycles it, so long sessions do not pay LZMA per frame while
-    every datagram still carries a decodable payload.
+    Cycles a pre-encoded pool of captured frames (:func:`semantic_pool`),
+    so long sessions do not pay LZMA per frame while every datagram still
+    carries a decodable payload.
     """
 
     def __init__(
@@ -168,20 +192,13 @@ class SemanticSource:
         session_secret: bytes,
         fps: float = float(calibration.TARGET_FPS),
         seed: int = 0,
-        pool_size: int = 256,
+        pool_size: int = SEMANTIC_POOL_FRAMES,
     ) -> None:
         if pool_size < 1:
             raise ValueError("pool must hold at least one frame")
         self.fps = fps
         self._secret = session_secret
-        self._codec = SemanticCodec(seed=seed)
-        synth = MotionSynthesizer(fps=fps, seed=seed)
-        # Production FaceTime profile: no extractor confidence channel
-        # (Fig. 4 anchor: ~0.67 Mbps total uplink including audio).
-        self._pool = [
-            self._codec.encode(frame, include_confidence=False).payload
-            for frame in synth.frames(pool_size)
-        ]
+        self._pool = semantic_pool(fps, seed, pool_size)
         self._frame_index = 0
 
     @property
