@@ -14,13 +14,25 @@ import numpy as np
 from repro.analysis.stats import SummaryStats, summarize_samples
 from repro.netsim.capture import Direction, PacketCapture
 
+#: Default window width, and the head skipped before the first window
+#: (handshakes, ramp-up), in seconds.
+WINDOW_S = 1.0
+SKIP_HEAD_S = 1.0
+
+#: Shortest session whose capture yields a whole default window.  Windows
+#: start SKIP_HEAD_S after the capture's first packet and only whole ones
+#: count.  A capture starts a path delay into its session and ends up to
+#: a frame interval before it, so one more window of slack keeps the
+#: last whole window inside the session.
+MIN_WINDOWED_SESSION_S = SKIP_HEAD_S + 2 * WINDOW_S
+
 
 def throughput_windows_mbps(
     capture: PacketCapture,
     direction: Direction,
-    window_s: float = 1.0,
+    window_s: float = WINDOW_S,
     peer: Optional[str] = None,
-    skip_head_s: float = 1.0,
+    skip_head_s: float = SKIP_HEAD_S,
 ) -> List[float]:
     """Per-window throughput samples in Mbps.
 
@@ -59,9 +71,9 @@ def throughput_windows_mbps(
 def cohort_throughput_windows_mbps(
     captures: List[PacketCapture],
     direction: Direction,
-    window_s: float = 1.0,
+    window_s: float = WINDOW_S,
     peer: Optional[str] = None,
-    skip_head_s: float = 1.0,
+    skip_head_s: float = SKIP_HEAD_S,
 ) -> List[List[float]]:
     """Per-window throughput for a whole cohort of captures at once.
 

@@ -8,16 +8,83 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
+import math
 import signal
 import sys
-from typing import List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro import calibration
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _checked(convert: Callable[[str], Any], ok: Callable[[Any], bool],
+             requirement: str) -> Callable[[str], Any]:
+    """An argparse type: ``convert`` the text, then insist on ``ok``."""
+    def parse(text: str) -> Any:
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r}: {requirement}")
+        return value
+
+    parse.__name__ = convert.__name__  # "invalid int value: 'x'"
+    return parse
+
+
+_count = _checked(int, lambda n: n >= 0, "must be >= 0")
+_seconds = _checked(float, lambda x: math.isfinite(x) and x > 0,
+                    "must be a finite number of seconds > 0")
+
+
+def _min_duration(command: str) -> Optional[Tuple[float, str]]:
+    """The shortest --duration of one subcommand, and why (None: any).
+
+    Imported here, not at module level: the analysis and fault packages
+    take about a second to import, which ``--help`` and ``repro worker``
+    should not pay.
+    """
+    from repro.analysis.throughput import MIN_WINDOWED_SESSION_S
+    from repro.faults.schedule import STANDARD_DISTURBANCE_MIN_S
+
+    fig6_half = (2 * MIN_WINDOWED_SESSION_S,
+                 "fig6's network half runs at duration / 2")
+    return {
+        "fig4": (MIN_WINDOWED_SESSION_S, "one throughput window after the "
+                                         "skipped head, with slack"),
+        "fig6": fig6_half,
+        "report": fig6_half,
+        "reproduce": fig6_half,
+        "resilience": (STANDARD_DISTURBANCE_MIN_S, "the standard "
+                       "disturbance's five faults must fit"),
+    }.get(command)
+
+
+def _duration(command: str) -> Callable[[str], float]:
+    """The --duration type of one subcommand (see ``_min_duration``)."""
+    def parse(text: str) -> float:
+        value = _seconds(text)
+        limit = _min_duration(command)
+        if limit is not None and value < limit[0]:
+            raise argparse.ArgumentTypeError(
+                f"{text!r}: {command} needs at least {limit[0]:g} s "
+                f"({limit[1]})")
+        return value
+
+    parse.__name__ = "float"
+    return parse
+
+
+class _NameList(argparse.Action):
+    """Names given space- or comma-separated (``a,b c``), as one list."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest,
+                [name for value in values for name in value.split(",")
+                 if name])
+
+
+def _add_common(parser: argparse.ArgumentParser, command: str) -> None:
     parser.add_argument("--seed", type=int, default=0, help="master seed")
-    parser.add_argument("--duration", type=float, default=20.0,
+    parser.add_argument("--duration", type=_duration(command), default=20.0,
                         help="session seconds per run")
     parser.add_argument("--repeats", type=int,
                         default=calibration.MIN_REPEATS,
@@ -27,18 +94,18 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _add_sweep(parser: argparse.ArgumentParser) -> None:
     """Flags of the sweep-capable subcommands (parallelism, caching,
     and crash-safe execution)."""
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=_count, default=1,
                         help="worker processes (1 = serial)")
     parser.add_argument("--no-cache", action="store_true",
                         help="recompute every cell, ignore the result cache")
     parser.add_argument("--cache-dir",
                         help="result-cache root (default: REPRO_CACHE_DIR "
                              "or ~/.cache/repro-sweeps)")
-    parser.add_argument("--cell-timeout", type=float, default=None,
+    parser.add_argument("--cell-timeout", type=_seconds, default=None,
                         metavar="SECONDS",
                         help="per-cell watchdog deadline; a hung worker is "
                              "killed and the cell retried as transient")
-    parser.add_argument("--max-retries", type=int, default=1,
+    parser.add_argument("--max-retries", type=_count, default=1,
                         help="transient-failure retries per cell "
                              "(exponential backoff between attempts)")
     parser.add_argument("--journal",
@@ -57,29 +124,6 @@ def _add_sweep(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--metrics", action="store_true",
                         help="print the metrics-registry snapshot after "
                              "the run")
-
-
-def _sweep_cache(args):
-    """The ResultCache the flags ask for (None with --no-cache)."""
-    if args.no_cache:
-        return None
-    from repro.core.cache import ResultCache
-
-    return ResultCache(args.cache_dir)
-
-
-def _explicit_journal(args):
-    """The RunJournal named by --journal (required for --resume here)."""
-    from repro.core.journal import RunJournal
-
-    if args.journal:
-        return RunJournal(args.journal)
-    if args.resume:
-        raise SystemExit(
-            "error: --resume needs --journal PATH for this subcommand "
-            "(only 'campaign' derives a default journal path)"
-        )
-    return None
 
 
 @contextlib.contextmanager
@@ -109,50 +153,96 @@ def _graceful_interrupts():
             signal.signal(sig, old)
 
 
-def _interrupted_exit(journal_path) -> int:
-    """The operator-facing landing after SIGINT/SIGTERM mid-sweep."""
-    print(
-        f"\ninterrupted — completed cells are checkpointed in "
-        f"{journal_path}\nresume with the same command plus: --resume",
-        file=sys.stderr,
-    )
-    return 130
+def _progress(line: str) -> None:
+    print(f"  {line}")
 
 
-def _configure_obs(args) -> None:
-    """Arm tracing before a sweep runs (no-op without --trace)."""
-    if getattr(args, "trace", None):
+def _export_csv(args, result) -> None:
+    """Write the sweep's records where ``--csv`` asks, if it does."""
+    if args.csv:
+        result.to_csv(args.csv)
+        print(f"wrote {args.csv}")
+
+
+def _run_sweep(args, sweep: Callable[..., Any], *, journal_path=None,
+               store=None, echo: bool = True) -> Any:
+    """Run one sweep subcommand under the crash-safe CLI harness.
+
+    Opens the journal (``--journal``, else ``journal_path``) and a fresh
+    run manifest, arms ``--trace``, and turns SIGINT/SIGTERM into
+    :class:`CampaignInterrupted` while ``sweep(**runner_kwargs)`` runs.
+    The keyword arguments are the ones every sweep driver takes:
+    ``jobs``, ``cache``, ``timeout``, ``retries``, ``journal``,
+    ``resume`` and ``manifest``.  An interrupt exits 130 with the resume
+    hint that fits.  Otherwise the journal is closed, the manifest and
+    observability output printed, and the sweep's result returned.
+    ``echo=False`` is for ``reproduce``: its markdown carries the
+    manifest and metrics sections and may be on stdout, so only the
+    ``wrote ...`` notes are printed, on stderr.
+    """
+    from repro.core.cache import ResultCache
+    from repro.core.errors import CampaignInterrupted
+    from repro.core.journal import RunJournal, RunManifest
+
+    path = args.journal or journal_path
+    if path is None and args.resume:
+        raise SystemExit(
+            "error: --resume needs --journal PATH for this subcommand "
+            "(only 'campaign' derives a default journal path)"
+        )
+    journal = RunJournal(path) if path else None
+    cache = None if args.no_cache else ResultCache(args.cache_dir)
+    manifest = RunManifest()
+    if args.trace:
         from repro.obs import trace
 
         trace.configure(args.trace)
-
-
-def _report_obs(args) -> None:
-    """Flush the trace and print the metrics snapshot the flags asked for."""
-    if getattr(args, "trace", None):
+    try:
+        with _graceful_interrupts():
+            result = sweep(jobs=args.jobs, cache=cache,
+                           timeout=args.cell_timeout,
+                           retries=args.max_retries, journal=journal,
+                           resume=args.resume, manifest=manifest)
+    except CampaignInterrupted:
+        if store:
+            hint = (f"committed cells live in {store}; re-run the same "
+                    f"command (same --store) to resume, workers can keep "
+                    f"running meanwhile")
+        elif journal is not None:
+            hint = (f"completed cells are checkpointed in {journal.path}\n"
+                    f"resume with the same command plus: --resume")
+        else:
+            what = ("the reproduction" if args.command == "reproduce"
+                    else "this sweep")
+            hint = f"no journal; pass --journal PATH to make {what} resumable"
+        print(f"\ninterrupted — {hint}", file=sys.stderr)
+        raise SystemExit(130)
+    finally:
+        if journal is not None:
+            journal.close()
+    log = sys.stdout if echo else sys.stderr
+    if echo:
+        print(f"manifest: {manifest.summary_line()}")
+        for cell in manifest.fallbacks():
+            print(f"  fallback: {cell.name} ran in-process after "
+                  f"{cell.attempts} worker attempt(s)")
+        for cell in manifest.quarantined():
+            reason = (cell.error or {}).get("message", "unknown")
+            print(f"  quarantined: {cell.name} — {reason}")
+    if args.manifest:
+        manifest.write(args.manifest)
+        print(f"wrote manifest {args.manifest}", file=log)
+    if args.trace:
         from repro.obs import trace
 
         trace.shutdown()
-        print(f"wrote trace {args.trace}")
-    if getattr(args, "metrics", False):
+        print(f"wrote trace {args.trace}", file=log)
+    if echo and args.metrics:
         from repro.obs import metrics
 
         print()
         print(metrics.format_snapshot(metrics.snapshot()))
-
-
-def _print_manifest(manifest, args) -> None:
-    """CLI accounting: summary line, anomalies, optional JSON dump."""
-    print(f"manifest: {manifest.summary_line()}")
-    for cell in manifest.fallbacks():
-        print(f"  fallback: {cell.name} ran in-process after "
-              f"{cell.attempts} worker attempt(s)")
-    for cell in manifest.quarantined():
-        reason = (cell.error or {}).get("message", "unknown")
-        print(f"  quarantined: {cell.name} — {reason}")
-    if getattr(args, "manifest", None):
-        manifest.write(args.manifest)
-        print(f"wrote manifest {args.manifest}")
+    return result
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -186,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("reproduce", "full report with sharded workers + result cache"),
     ):
         p = sub.add_parser(name, help=help_text)
-        _add_common(p)
+        _add_common(p, name)
         if name in ("report", "reproduce"):
             p.add_argument("--quick", action="store_true",
                            help="short smoke-run settings")
@@ -234,8 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
                            metavar="N",
                            help="limit demand to the N most populous world "
                                 "regions (default: all)")
-            p.add_argument("--policies", nargs="+", default=None,
-                           metavar="NAME",
+            p.add_argument("--policies", nargs="+", action=_NameList,
+                           default=None, metavar="NAME",
                            help="selection policies to sweep, space- or "
                                 "comma-separated (default: all registered)")
             p.add_argument("--k-range", nargs="+", type=int,
@@ -252,15 +342,15 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--csv", help="export per-cell records to this "
                                          "path")
         if name == "gauntlet":
-            p.add_argument("--scenarios", nargs="+",
+            p.add_argument("--scenarios", nargs="+", action=_NameList,
                            default=["region-outage", "mixed"],
                            metavar="NAME",
                            help="fault-domain scenarios to sweep, space- "
                                 "or comma-separated (catalog: "
                                 "region-outage ap-storm brownout "
                                 "flash-crowd mixed none)")
-            p.add_argument("--policies", nargs="+", default=None,
-                           metavar="NAME",
+            p.add_argument("--policies", nargs="+", action=_NameList,
+                           default=None, metavar="NAME",
                            help="selection policies to sweep, space- or "
                                 "comma-separated (default: all registered)")
             p.add_argument("--fleet-sizes", nargs="+", type=int,
@@ -337,11 +427,11 @@ def _add_worker_parser(sub) -> None:
                    metavar="SECONDS",
                    help="owner-silence span after which a lease is stolen "
                         "(default: 3x the heartbeat interval)")
-    p.add_argument("--cell-timeout", type=float, default=None,
+    p.add_argument("--cell-timeout", type=_seconds, default=None,
                    metavar="SECONDS",
                    help="self-watchdog: a cell running past this stops the "
                         "worker's heartbeat so its lease gets taken over")
-    p.add_argument("--max-retries", type=int, default=1,
+    p.add_argument("--max-retries", type=_count, default=1,
                    help="transient-failure retries per cell")
     p.add_argument("--join-timeout", type=float, default=60.0,
                    metavar="SECONDS",
@@ -487,33 +577,10 @@ def _cmd_ablations(args) -> int:
 
 
 def _cmd_resilience(args) -> int:
-    from repro.core.errors import CampaignInterrupted
-    from repro.core.journal import RunManifest
     from repro.experiments import resilience
 
-    duration = max(args.duration, 10.0)  # the gauntlet needs >= 10 s
-    journal = _explicit_journal(args)
-    manifest = RunManifest()
-    _configure_obs(args)
-    try:
-        with _graceful_interrupts():
-            result = resilience.run(duration_s=duration, seed=args.seed,
-                                    jobs=args.jobs, cache=_sweep_cache(args),
-                                    timeout=args.cell_timeout,
-                                    retries=args.max_retries,
-                                    journal=journal, resume=args.resume,
-                                    manifest=manifest)
-    except CampaignInterrupted:
-        if journal is not None:
-            return _interrupted_exit(journal.path)
-        print("\ninterrupted — no journal; pass --journal PATH to make "
-              "this sweep resumable", file=sys.stderr)
-        return 130
-    finally:
-        if journal is not None:
-            journal.close()
-    _print_manifest(manifest, args)
-    _report_obs(args)
+    result = _run_sweep(args, lambda **runner: resilience.run(
+        duration_s=args.duration, seed=args.seed, **runner))
     print(result.format_table())
     print(f"all profiles recovered: {result.all_recovered()}")
     facetime = result.details["FaceTime"]
@@ -525,40 +592,13 @@ def _cmd_resilience(args) -> int:
 
 
 def _cmd_placement(args) -> int:
-    from repro.core.errors import CampaignInterrupted
-    from repro.core.journal import RunManifest
     from repro.experiments import placement_study
 
-    policies = None
-    if args.policies:
-        policies = [name for entry in args.policies
-                    for name in entry.split(",") if name]
-    journal = _explicit_journal(args)
-    manifest = RunManifest()
-    _configure_obs(args)
-    try:
-        with _graceful_interrupts():
-            result = placement_study.run(
-                users=args.users, policies=policies, k_range=args.k_range,
-                seed=args.seed, epochs=args.epochs, regions=args.regions,
-                session_size=args.session_size,
-                site_step_deg=args.site_step,
-                jobs=args.jobs, cache=_sweep_cache(args),
-                timeout=args.cell_timeout, retries=args.max_retries,
-                journal=journal, resume=args.resume, manifest=manifest,
-                progress=lambda line: print(f"  {line}"),
-            )
-    except CampaignInterrupted:
-        if journal is not None:
-            return _interrupted_exit(journal.path)
-        print("\ninterrupted — no journal; pass --journal PATH to make "
-              "this sweep resumable", file=sys.stderr)
-        return 130
-    finally:
-        if journal is not None:
-            journal.close()
-    _print_manifest(manifest, args)
-    _report_obs(args)
+    result = _run_sweep(args, lambda **runner: placement_study.run(
+        users=args.users, policies=args.policies, k_range=args.k_range,
+        seed=args.seed, epochs=args.epochs, regions=args.regions,
+        session_size=args.session_size, site_step_deg=args.site_step,
+        progress=_progress, **runner))
     print(result.format_table())
     best = result.best()
     print(f"best objective: {best['policy']} at k={best['k']} "
@@ -569,60 +609,26 @@ def _cmd_placement(args) -> int:
               f"{penalty:+.3f}")
     except KeyError:
         pass  # the sweep did not include both policies
-    if args.csv:
-        result.to_csv(args.csv)
-        print(f"wrote {args.csv}")
+    _export_csv(args, result)
     return 0
 
 
 def _cmd_gauntlet(args) -> int:
-    from repro.core.errors import CampaignInterrupted
-    from repro.core.journal import RunManifest
     from repro.experiments import gauntlet as gauntlet_study
 
-    scenarios = [name for entry in args.scenarios
-                 for name in entry.split(",") if name]
-    policies = None
-    if args.policies:
-        policies = [name for entry in args.policies
-                    for name in entry.split(",") if name]
-    journal = _explicit_journal(args)
-    manifest = RunManifest()
-    _configure_obs(args)
-    try:
-        with _graceful_interrupts():
-            result = gauntlet_study.run(
-                scenarios=scenarios, policies=policies,
-                fleet_sizes=args.fleet_sizes, seed=args.seed,
-                duration_s=args.gauntlet_duration, tick_s=args.tick,
-                k=args.k, regions=args.regions,
-                session_size=args.session_size,
-                capacity_factor=args.capacity_factor,
-                site_step_deg=args.site_step,
-                jobs=args.jobs, cache=_sweep_cache(args),
-                timeout=args.cell_timeout, retries=args.max_retries,
-                journal=journal, resume=args.resume, manifest=manifest,
-                progress=lambda line: print(f"  {line}"),
-            )
-    except CampaignInterrupted:
-        if journal is not None:
-            return _interrupted_exit(journal.path)
-        print("\ninterrupted — no journal; pass --journal PATH to make "
-              "this sweep resumable", file=sys.stderr)
-        return 130
-    finally:
-        if journal is not None:
-            journal.close()
-    _print_manifest(manifest, args)
-    _report_obs(args)
+    result = _run_sweep(args, lambda **runner: gauntlet_study.run(
+        scenarios=args.scenarios, policies=args.policies,
+        fleet_sizes=args.fleet_sizes, seed=args.seed,
+        duration_s=args.gauntlet_duration, tick_s=args.tick, k=args.k,
+        regions=args.regions, session_size=args.session_size,
+        capacity_factor=args.capacity_factor, site_step_deg=args.site_step,
+        progress=_progress, **runner))
     print(result.format_table())
     worst = result.worst()
     print(f"worst cell: {worst['scenario']} / {worst['policy']} at "
           f"n={worst['n_sessions']} (QoE delta {worst['qoe_delta']:+.4f}, "
           f"recovered {worst['recovered_fraction']:.0%})")
-    if args.csv:
-        result.to_csv(args.csv)
-        print(f"wrote {args.csv}")
+    _export_csv(args, result)
     return 0
 
 
@@ -672,31 +678,8 @@ def _cmd_scenarios(args) -> int:
             sys.stdout.write(jsonl)
         return 0
 
-    from repro.core.errors import CampaignInterrupted
-    from repro.core.journal import RunManifest
-
-    journal = _explicit_journal(args)
-    manifest = RunManifest()
-    _configure_obs(args)
-    try:
-        with _graceful_interrupts():
-            result = run_batch(
-                specs, jobs=args.jobs, cache=_sweep_cache(args),
-                retries=args.max_retries, timeout=args.cell_timeout,
-                journal=journal, resume=args.resume, manifest=manifest,
-                progress=lambda line: print(f"  {line}"),
-            )
-    except CampaignInterrupted:
-        if journal is not None:
-            return _interrupted_exit(journal.path)
-        print("\ninterrupted — no journal; pass --journal PATH to make "
-              "this sweep resumable", file=sys.stderr)
-        return 130
-    finally:
-        if journal is not None:
-            journal.close()
-    _print_manifest(manifest, args)
-    _report_obs(args)
+    result = _run_sweep(args, lambda **runner: run_batch(
+        specs, progress=_progress, **runner))
     print(result.format_table())
     worst = result.worst()
     print(f"worst scenario: {worst['name']} (qoe {worst['qoe']:.3f}, "
@@ -704,9 +687,7 @@ def _cmd_scenarios(args) -> int:
     means = result.dimension_means()
     print("dimension means: " + "  ".join(
         f"{name}={value:.3f}" for name, value in means.items()))
-    if args.csv:
-        result.to_csv(args.csv)
-        print(f"wrote {args.csv}")
+    _export_csv(args, result)
     return 0
 
 
@@ -721,123 +702,69 @@ def _cmd_validate(args) -> int:
 
 def _cmd_campaign(args) -> int:
     from repro.core.campaign import Campaign
-    from repro.core.errors import CampaignInterrupted
-    from repro.core.journal import RunJournal
 
     if args.distributed and not args.store:
         raise SystemExit("error: --distributed needs --store DIR "
                          "(a directory every worker can reach)")
-    store = args.store
     campaign = Campaign.grid(args.vcas, args.users,
                              duration_s=args.duration, repeats=args.repeats,
                              base_seed=args.seed)
-    journal_path = (args.journal if args.journal
-                    else campaign.default_journal_path(args.cache_dir))
-    journal = RunJournal(journal_path)
-    _configure_obs(args)
-    try:
-        with _graceful_interrupts():
-            campaign.run(progress=lambda line: print(f"  {line}"),
-                         jobs=args.jobs, cache=_sweep_cache(args),
-                         timeout=args.cell_timeout,
-                         max_retries=args.max_retries,
-                         journal=journal, resume=args.resume,
-                         store=store, worker_wait_s=args.worker_wait)
-    except CampaignInterrupted:
-        if store:
-            print(f"\ninterrupted — committed cells live in {store}; "
-                  f"re-run the same command (same --store) to resume, "
-                  f"workers can keep running meanwhile", file=sys.stderr)
-            return 130
-        return _interrupted_exit(journal_path)
-    finally:
-        journal.close()
-    for vca, summary in campaign.summary_by("vca").items():
-        print(f"{vca:10s} sessions={summary['sessions']:3.0f}  "
-              f"up={summary['uplink_mbps_mean']:6.2f} Mbps  "
-              f"down={summary['downlink_mbps_mean']:6.2f} Mbps")
-    stats = campaign.last_run_stats
-    print(f"{stats.tasks} cells: {stats.executed} executed, "
-          f"{stats.cache_hits} cached ({stats.hit_rate():.0%} hit rate), "
-          f"{stats.resumed} resumed, {stats.retries} retries, "
-          f"{stats.timeouts} timeouts "
-          f"in {stats.elapsed_s:.1f} s with jobs={args.jobs}")
-    dist = campaign.last_dist
-    if dist is not None:
-        workers = (", ".join(dist["workers"])
-                   or "none (coordinator ran everything)")
-        print(f"distributed: workers={workers}; "
-              f"{dist['takeovers']} takeover(s), "
-              f"{dist['fenced_zombies']} fenced zombie(s), "
-              f"{dist['resumed']} resumed, "
-              f"{dist['inline_cells']} coordinator-inline")
-    _print_manifest(campaign.last_manifest, args)
-    _report_obs(args)
-    if args.csv:
-        campaign.to_csv(args.csv)
-        print(f"wrote {args.csv}")
+
+    def sweep(retries, **runner) -> None:
+        campaign.run(progress=_progress, max_retries=retries,
+                     store=args.store, worker_wait_s=args.worker_wait,
+                     **runner)
+        # The summary prints here, ahead of the wrapper's manifest lines.
+        for vca, summary in campaign.summary_by("vca").items():
+            print(f"{vca:10s} sessions={summary['sessions']:3.0f}  "
+                  f"up={summary['uplink_mbps_mean']:6.2f} Mbps  "
+                  f"down={summary['downlink_mbps_mean']:6.2f} Mbps")
+        stats = campaign.last_run_stats
+        print(f"{stats.tasks} cells: {stats.executed} executed, "
+              f"{stats.cache_hits} cached ({stats.hit_rate():.0%} hit "
+              f"rate), {stats.resumed} resumed, {stats.retries} retries, "
+              f"{stats.timeouts} timeouts "
+              f"in {stats.elapsed_s:.1f} s with jobs={args.jobs}")
+        dist = campaign.last_dist
+        if dist is not None:
+            workers = (", ".join(dist["workers"])
+                       or "none (coordinator ran everything)")
+            print(f"distributed: workers={workers}; "
+                  f"{dist['takeovers']} takeover(s), "
+                  f"{dist['fenced_zombies']} fenced zombie(s), "
+                  f"{dist['resumed']} resumed, "
+                  f"{dist['inline_cells']} coordinator-inline")
+
+    _run_sweep(args, sweep, store=args.store,
+               journal_path=campaign.default_journal_path(args.cache_dir))
+    _export_csv(args, campaign)
     return 0 if not campaign.skipped else 3
 
 
 def _cmd_report(args) -> int:
     from repro.report import ReportSettings, generate_report
 
-    import dataclasses
-
-    sweep_capable = hasattr(args, "jobs")
-    jobs = getattr(args, "jobs", 1)
-    cache = _sweep_cache(args) if sweep_capable else None
-    sweep = {}
-    journal = None
-    if sweep_capable:
-        from repro.core.journal import RunManifest
-
-        journal = _explicit_journal(args)
-        sweep = dict(
-            cell_timeout=args.cell_timeout, max_retries=args.max_retries,
-            journal=journal, resume=args.resume, manifest=RunManifest(),
-            metrics=args.metrics,
-        )
-        _configure_obs(args)
     settings = (
-        dataclasses.replace(ReportSettings.quick(), jobs=jobs, cache=cache,
-                            **sweep)
-        if args.quick
+        ReportSettings.quick() if args.quick
         else ReportSettings(duration_s=args.duration, repeats=args.repeats,
-                            seed=args.seed, jobs=jobs, cache=cache, **sweep)
+                            seed=args.seed)
     )
-    try:
-        if sweep_capable:
-            from repro.core.errors import CampaignInterrupted
-
-            try:
-                with _graceful_interrupts():
-                    markdown = generate_report(settings)
-            except CampaignInterrupted:
-                if journal is not None:
-                    return _interrupted_exit(journal.path)
-                print("\ninterrupted — no journal; pass --journal PATH to "
-                      "make the reproduction resumable", file=sys.stderr)
-                return 130
-        else:
-            markdown = generate_report(settings)
-    finally:
-        if journal is not None:
-            journal.close()
-    if sweep_capable and getattr(args, "manifest", None):
-        settings.manifest.write(args.manifest)
-        print(f"wrote manifest {args.manifest}", file=sys.stderr)
+    if args.command == "reproduce":
+        markdown = _run_sweep(
+            args,
+            lambda timeout, retries, **runner: generate_report(
+                dataclasses.replace(settings, cell_timeout=timeout,
+                                    max_retries=retries,
+                                    metrics=args.metrics, **runner)),
+            echo=False)
+    else:
+        markdown = generate_report(settings)
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(markdown)
         print(f"wrote {args.output}")
     else:
         print(markdown)
-    if sweep_capable and getattr(args, "trace", None):
-        from repro.obs import trace
-
-        trace.shutdown()
-        print(f"wrote trace {args.trace}", file=sys.stderr)
     return 0
 
 

@@ -1,13 +1,12 @@
-"""Core public API: the testbed, the study runner, and the sweep engine.
+"""Core public API: the testbed and the sweep engine.
 
 This is the measurement methodology of the paper as a library: build the
-Fig. 3 testbed, run repeated sessions, and collect the observables —
-serially, across worker processes, or replayed from the on-disk result
-cache.
+Fig. 3 testbed, run repeated sessions as seeded cells, and collect the
+observables — serially, across worker processes or a fleet of workers,
+or replayed from the on-disk result cache.
 """
 
 from repro.core.testbed import Testbed, default_two_user_testbed
-from repro.core.study import Study, Repeated, repeat_experiment
 from repro.core.campaign import Campaign, CampaignCell, CampaignRecord
 from repro.core.cache import CacheStats, ResultCache, task_key
 from repro.core.errors import (
@@ -41,9 +40,6 @@ from repro.core.dist import (
 __all__ = [
     "Testbed",
     "default_two_user_testbed",
-    "Study",
-    "Repeated",
-    "repeat_experiment",
     "Campaign",
     "CampaignCell",
     "CampaignRecord",

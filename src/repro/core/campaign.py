@@ -35,7 +35,7 @@ from repro.analysis.protocol import classify_capture
 from repro.analysis.throughput import throughput_windows_mbps
 from repro.core.cache import ResultCache, default_cache_root
 from repro.core.dist.coordinator import Coordinator
-from repro.core.errors import CellFailure, RetryPolicy
+from repro.core.errors import CellFailure
 from repro.core.journal import RunJournal, RunManifest, run_fingerprint
 from repro.core.parallel import CellTask, RunStats, TaskRunner
 from repro.core.testbed import multi_user_testbed
@@ -263,62 +263,29 @@ class Campaign:
         this path; ``journal`` still receives the merged distributed
         checkpoint.
         """
-        if store is not None:
-            return self._run_distributed(
-                store, progress=progress, jobs=jobs, timeout=timeout,
-                max_retries=max_retries, journal=journal,
-                manifest=manifest, failfast=failfast,
-                worker_wait_s=worker_wait_s,
+        retries = 1 if max_retries is None else max_retries
+        if store is None:
+            runner = TaskRunner(jobs=jobs, cache=cache, retries=retries,
+                                progress=progress, timeout=timeout,
+                                journal=journal, resume=resume,
+                                manifest=manifest, failfast=failfast)
+            span_args = {}
+        else:
+            runner = Coordinator(
+                store, jobs=jobs, worker_wait_s=worker_wait_s,
+                timeout=timeout, max_retries=retries, journal=journal,
+                manifest=manifest, failfast=failfast, progress=progress,
             )
-        policy = (RetryPolicy(max_retries=max_retries)
-                  if max_retries is not None else None)
-        runner = TaskRunner(jobs=jobs, cache=cache, progress=progress,
-                            timeout=timeout, policy=policy, journal=journal,
-                            resume=resume, manifest=manifest,
-                            failfast=failfast)
+            span_args = {"distributed": True}
         with obs_trace.span("campaign.run", cat="campaign",
-                            cells=len(self.cells), jobs=jobs):
+                            cells=len(self.cells), jobs=jobs, **span_args):
             results = runner.run(self.tasks())
         self.records = [r for r in results if not isinstance(r, CellFailure)]
         self.skipped = [r for r in results if isinstance(r, CellFailure)]
         self.last_run_stats = runner.stats
         self.last_manifest = runner.manifest
-        self.last_dist = None
+        self.last_dist = runner.dist if store is not None else None
         return self.records
-
-    def _run_distributed(
-        self,
-        store: Union[str, Path],
-        *,
-        progress: Optional[Callable[[str], None]],
-        jobs: int,
-        timeout: Optional[float],
-        max_retries: Optional[int],
-        journal: Optional[RunJournal],
-        manifest: Optional[RunManifest],
-        failfast: bool,
-        worker_wait_s: float,
-    ) -> List[CampaignRecord]:
-        coordinator = Coordinator(
-            store, jobs=jobs, worker_wait_s=worker_wait_s, timeout=timeout,
-            max_retries=max_retries if max_retries is not None else 1,
-            progress=progress,
-        )
-        with obs_trace.span("campaign.run", cat="campaign",
-                            cells=len(self.cells), jobs=jobs,
-                            distributed=True):
-            results = coordinator.run(self.tasks(), journal=journal,
-                                      manifest=manifest, failfast=failfast)
-        self.records = [r for r in results if not isinstance(r, CellFailure)]
-        self.skipped = [r for r in results if isinstance(r, CellFailure)]
-        self.last_run_stats = coordinator.stats
-        self.last_manifest = coordinator.manifest
-        self.last_dist = coordinator.dist
-        return self.records
-
-    def _run_one(self, cell: CampaignCell, repeat: int,
-                 seed: int) -> CampaignRecord:
-        return run_cell(cell, repeat, seed)
 
     def to_csv(self, path: Union[str, Path]) -> None:
         """Export the collected records.

@@ -15,10 +15,11 @@ Two deliberate degradations keep a distributed campaign from being
 - **No workers?  No problem.**  If no worker heartbeat appears within
   ``worker_wait_s`` (or the whole fleet dies mid-run), the coordinator
   claims cells itself — through the same lease protocol, so a late
-  worker can still join — and executes them on the PR 4 in-process pool
-  (``jobs`` workers, watchdog, retry taxonomy).  A distributed campaign
-  with zero workers is therefore just a parallel campaign with extra
-  bookkeeping.
+  worker can still join — executes them on the local process pool
+  (``jobs`` workers, watchdog, retry taxonomy), and commits each one
+  with :func:`~repro.core.dist.worker.commit_lease`, exactly as a worker
+  does.  A distributed campaign with zero workers is therefore just a
+  parallel campaign with extra bookkeeping.
 - **Crash anywhere, resume anywhere.**  Commit markers are the ground
   truth.  Re-running the same campaign against the same store re-enqueues
   only unfinished cells; finished ones are collected from their committed
@@ -31,6 +32,7 @@ The merged journal the coordinator writes is a plain
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Union
@@ -44,6 +46,7 @@ from repro.core.dist.merge import (
 )
 from repro.core.dist.queue import Lease, QueueError, TaskSpec, WorkQueue
 from repro.core.dist.store import StoreLayout, layout as make_layout, worker_id
+from repro.core.dist.worker import commit_lease
 from repro.core.errors import CellFailure, RetryPolicy
 from repro.core.journal import (
     STATUS_CACHED,
@@ -64,6 +67,26 @@ from repro.obs import trace as obs_trace
 _COMPLETED = (STATUS_OK, STATUS_CACHED)
 
 
+class _HeldCache:
+    """The store cache as the inline fallback's runner sees it.
+
+    Reads go through, so cached cells replay.  Writes are held here:
+    a payload enters the store cache only once its lease commits, which
+    :func:`~repro.core.dist.worker.commit_lease` does, as for a worker.
+    """
+
+    def __init__(self, cache: ResultCache) -> None:
+        self.cache = cache
+        self.payloads: Dict[str, Any] = {}
+
+    def get(self, key: str) -> Any:
+        self.payloads[key] = self.cache.get(key)
+        return self.payloads[key]
+
+    def put(self, key: str, payload: Any) -> None:
+        self.payloads[key] = payload
+
+
 class Coordinator:
     """Publishes a campaign to a shared store and assembles its results.
 
@@ -81,6 +104,14 @@ class Coordinator:
         timeout: Per-cell watchdog deadline for the fallback pool.
         max_retries: Transient-retry budget (fallback execution).
         jitter: Seeded backoff jitter fraction for fallback retries.
+        journal: As for :class:`TaskRunner`: receives the merged
+            distributed checkpoint, so the operator's ``--journal`` file
+            stays resumable locally.
+        manifest: As for :class:`TaskRunner`: every merged outcome is
+            recorded into it (a fresh one is created when omitted).
+        failfast: When True, a cell that failed (not quarantined)
+            raises after the merges; when False it surfaces as a
+            :class:`CellFailure` result slot.
     """
 
     def __init__(
@@ -96,10 +127,15 @@ class Coordinator:
         max_retries: int = 1,
         jitter: float = 0.25,
         seed: int = 0,
+        journal: Optional[RunJournal] = None,
+        manifest: Optional[RunManifest] = None,
+        failfast: bool = True,
         progress: Optional[Callable[[str], None]] = None,
         sleep: Callable[[float], None] = time.sleep,
         monotonic: Callable[[], float] = time.monotonic,
     ) -> None:
+        if timeout is not None and not timeout > 0:  # NaN-safe
+            raise ValueError("timeout must be positive (or None)")
         self.layout = (store if isinstance(store, StoreLayout)
                        else make_layout(store))
         self.worker = worker_id(None)
@@ -114,12 +150,14 @@ class Coordinator:
         self.timeout = timeout
         self.policy = RetryPolicy(max_retries=max_retries, jitter=jitter,
                                   seed=seed)
+        self.journal = journal
+        self.manifest = manifest if manifest is not None else RunManifest()
+        self.failfast = failfast
         self.progress = progress
         self._sleep = sleep
         self._monotonic = monotonic
         self.queue = WorkQueue(self.layout, worker=self.worker)
         self.stats = RunStats()
-        self.manifest = RunManifest()          # merged, after run()
         self.dist: Dict[str, Any] = {}         # distributed-run summary
         self._inline_keys: Set[str] = set()
 
@@ -127,21 +165,8 @@ class Coordinator:
     # top level
     # ------------------------------------------------------------------
 
-    def run(
-        self,
-        tasks: Sequence[CellTask],
-        *,
-        journal: Optional[RunJournal] = None,
-        manifest: Optional[RunManifest] = None,
-        failfast: bool = True,
-    ) -> List[Any]:
-        """Run ``tasks`` through the store; results come in task order.
-
-        ``journal``/``manifest`` mirror the :class:`TaskRunner` API: the
-        merged distributed journal is replicated into ``journal`` (so the
-        operator's ``--journal`` file stays resumable locally) and every
-        merged outcome is recorded into ``manifest``.
-        """
+    def run(self, tasks: Sequence[CellTask]) -> List[Any]:
+        """Run ``tasks`` through the store; results come in task order."""
         started = self._monotonic()
         self.stats = RunStats(tasks=len(tasks))
         self._inline_keys = set()
@@ -173,8 +198,7 @@ class Coordinator:
         finally:
             own_journal.close()
             self._write_session_manifest(session)
-        results = self._assemble(tasks, keys, resumed_keys, journal,
-                                 manifest, failfast)
+        results = self._assemble(tasks, keys, resumed_keys)
         self.stats.elapsed_s = self._monotonic() - started
         return results
 
@@ -243,7 +267,7 @@ class Coordinator:
 
     def _drain_inline(self, cache: ResultCache, own_journal: RunJournal,
                       session: RunManifest) -> bool:
-        """Claim one batch of cells and run them on the local pool.
+        """Claim one batch of cells, run them on the local pool, commit.
 
         Goes through the very same lease protocol workers use, so a
         worker that shows up late can still steal from a stalled
@@ -258,10 +282,10 @@ class Coordinator:
             leases.append(lease)
         if not leases:
             return False
-        runner_manifest = RunManifest()
-        runner = TaskRunner(jobs=self.jobs, cache=cache, policy=self.policy,
-                            timeout=self.timeout, manifest=runner_manifest,
-                            failfast=False, progress=self.progress)
+        held = _HeldCache(cache)
+        runner = TaskRunner(jobs=self.jobs, cache=held, policy=self.policy,
+                            timeout=self.timeout, failfast=False,
+                            progress=self.progress)
         try:
             runner.run([lease.spec.task for lease in leases])
         except BaseException:
@@ -274,56 +298,17 @@ class Coordinator:
         # runner's here as well would double-book inline cells.
         self.stats.timeouts += runner.stats.timeouts
         self.stats.fallbacks += runner.stats.fallbacks
-        by_key = {cell.key: cell for cell in runner_manifest.cells}
+        cells = {cell.key: cell for cell in runner.manifest.cells}
         for lease in leases:
-            cell = by_key.get(lease.key)
+            cell = cells.get(lease.key)
             if cell is None:
                 self.queue.release(lease)
-                continue
-            self._commit_cell(lease, cell, cache, own_journal, session)
+            elif commit_lease(self.queue, lease,
+                              dataclasses.replace(cell, worker=self.worker),
+                              held.payloads.get(lease.key), cache=cache,
+                              journal=own_journal, manifest=session):
+                self._inline_keys.add(lease.key)
         return True
-
-    def _commit_cell(self, lease: Lease, cell: CellOutcome,
-                     cache: ResultCache, own_journal: RunJournal,
-                     session: RunManifest) -> None:
-        outcome: Dict[str, Any] = {
-            "name": lease.spec.name,
-            "status": cell.status,
-            "attempts": cell.attempts,
-            "retries": cell.retries,
-            "duration_s": round(cell.duration_s, 6),
-            "sim_time_s": round(cell.sim_time_s, 6),
-        }
-        payload = None
-        if cell.status in _COMPLETED:
-            payload = cache.get(lease.key)
-            outcome["payload"] = payload
-        if cell.error is not None:
-            outcome["error"] = cell.error
-        if cell.metrics is not None:
-            outcome["metrics"] = cell.metrics
-        committed = self.queue.commit(lease, outcome)
-        recorded = CellOutcome(
-            name=lease.spec.name, key=lease.key,
-            status=cell.status if committed else "fenced",
-            attempts=cell.attempts, retries=cell.retries,
-            duration_s=cell.duration_s, backoff_s=list(cell.backoff_s),
-            error=cell.error, sim_time_s=cell.sim_time_s,
-            metrics=cell.metrics, worker=self.worker,
-        )
-        session.record(recorded)
-        if not committed:
-            return
-        self._inline_keys.add(lease.key)
-        if cell.status in _COMPLETED:
-            own_journal.append(key=lease.key, name=lease.spec.name,
-                               status=cell.status, payload=payload,
-                               attempts=cell.attempts,
-                               duration_s=cell.duration_s)
-        else:
-            own_journal.append(key=lease.key, name=lease.spec.name,
-                               status=cell.status, attempts=cell.attempts,
-                               duration_s=cell.duration_s, error=cell.error)
 
     def _write_session_manifest(self, session: RunManifest) -> None:
         if not session.cells:
@@ -338,16 +323,14 @@ class Coordinator:
     # ------------------------------------------------------------------
 
     def _assemble(self, tasks: Sequence[CellTask], keys: Sequence[str],
-                  resumed_keys: Set[str], journal: Optional[RunJournal],
-                  manifest: Optional[RunManifest],
-                  failfast: bool) -> List[Any]:
+                  resumed_keys: Set[str]) -> List[Any]:
         done = self.queue.done_tokens()
         outcomes: Dict[str, Dict[str, Any]] = {}
         for key, token in done.items():
             outcome = self.queue.outcome_for(key, token)
             if outcome is not None:
                 outcomes[key] = outcome
-        self._merge_artifacts(journal, manifest)
+        self._merge_artifacts()
         self._fold_stats(outcomes, set(keys), resumed_keys)
         self.dist = {
             "workers": sorted({
@@ -382,7 +365,7 @@ class Coordinator:
                 message=str(error.get("message", "")),
                 attempts=int(outcome.get("attempts", 1)),
             )
-            if (failfast and status == STATUS_FAILED
+            if (self.failfast and status == STATUS_FAILED
                     and first_failure is None):
                 first_failure = (
                     f"cell {task.name!r} failed on worker "
@@ -395,20 +378,18 @@ class Coordinator:
             raise RuntimeError(first_failure)
         return results
 
-    def _merge_artifacts(self, journal: Optional[RunJournal],
-                         manifest: Optional[RunManifest]) -> None:
+    def _merge_artifacts(self) -> None:
         journal_paths = sorted(self.layout.journals_dir.glob("*.jsonl"))
         merged_journal = merge_journals(journal_paths,
                                         self.layout.merged_journal)
-        if journal is not None:
-            self._replicate_journal(merged_journal, journal)
-        self.manifest = merge_manifests(
+        if self.journal is not None:
+            self._replicate_journal(merged_journal, self.journal)
+        merged = merge_manifests(
             read_worker_manifests(self.layout.manifests_dir)
         )
-        self.manifest.write(self.layout.merged_manifest)
-        if manifest is not None:
-            for cell in self.manifest.cells:
-                manifest.record(cell)
+        merged.write(self.layout.merged_manifest)
+        for cell in merged.cells:
+            self.manifest.record(cell)
 
     @staticmethod
     def _replicate_journal(merged: RunJournal, journal: RunJournal) -> None:

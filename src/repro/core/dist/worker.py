@@ -3,11 +3,13 @@
 A worker is one process (``repro worker --store DIR`` from the CLI, or
 :class:`WorkerAgent` embedded) that joins a shared store, then loops:
 claim a cell from the queue (stealing stale leases when the pending
-directory is dry), execute it with the full PR 4 retry taxonomy —
-transient failures retried locally with seeded-jitter backoff so a
-fleet never retries in lockstep — and commit the outcome through the
-fencing protocol.  Every commit is also checkpointed to the worker's
-own journal and manifest, which the coordinator later merges.
+directory is dry), execute it through the local runner's cell loop
+(:func:`~repro.core.parallel.execute_cell`: transient failures retried
+with seeded-jitter backoff, salted with the worker id so a fleet never
+retries in lockstep), and commit the outcome through the fencing
+protocol with :func:`commit_lease`.  Every commit is also checkpointed
+to the worker's own journal and manifest, which the coordinator later
+merges.
 
 Parallelism across a host is "run more workers": each agent is serial
 inside, which keeps the failure unit (one process == one lease == one
@@ -29,23 +31,17 @@ Shutdown paths:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from repro.core.cache import ResultCache, code_fingerprint
 from repro.core.dist import heartbeat as hb
 from repro.core.dist.queue import Lease, QueueError, WorkQueue
 from repro.core.dist.store import StoreLayout, layout as make_layout, worker_id
-from repro.core.errors import (
-    CampaignInterrupted,
-    Category,
-    RetryPolicy,
-    classify,
-)
+from repro.core.errors import CampaignInterrupted, RetryPolicy
 from repro.core.journal import (
     STATUS_CACHED,
-    STATUS_FAILED,
     STATUS_FENCED,
     STATUS_OK,
     STATUS_QUARANTINED,
@@ -53,8 +49,7 @@ from repro.core.journal import (
     RunJournal,
     RunManifest,
 )
-from repro.core.parallel import CellTask, _sim_time_of
-from repro.obs import metrics as obs_metrics
+from repro.core.parallel import execute_cell
 from repro.obs import trace as obs_trace
 
 #: Default fraction of backoff jitter for fleet retries — high enough to
@@ -99,19 +94,51 @@ class WorkerStats:
         return ", ".join(parts) + f" in {self.elapsed_s:.1f} s"
 
 
-@dataclass
-class _CellRun:
-    """One lease's execution record, pre-commit."""
+def commit_lease(queue: WorkQueue, lease: Lease, cell: CellOutcome,
+                 payload: Any, *, cache: ResultCache, journal: RunJournal,
+                 manifest: RunManifest,
+                 progress: Optional[Callable[[str], None]] = None) -> bool:
+    """Turn a finished cell into a committed lease; True when it won.
 
-    status: str
-    payload: Any = None
-    error: Optional[Dict[str, Any]] = None
-    attempts: int = 0
-    retries: int = 0
-    duration_s: float = 0.0
-    backoff_s: List[float] = field(default_factory=list)
-    sim_time_s: float = 0.0
-    metrics: Optional[Dict[str, Any]] = None
+    ``cell`` is the outcome its executor recorded (``worker`` set) and
+    ``payload`` its packed result (ok and cached cells).  The outcome is
+    committed through the fencing protocol.  A won commit puts a fresh
+    payload in the shared cache, checkpoints the cell in the executor's
+    journal and ticks ``progress``.  A lost one means the lease was
+    taken over: the cell is recorded as fenced and its effects dropped.
+    The manifest records the cell either way.  Workers and the
+    coordinator's inline fallback both commit through here.
+    """
+    outcome: Dict[str, Any] = {
+        "name": lease.spec.name,
+        "status": cell.status,
+        "attempts": cell.attempts,
+        "retries": cell.retries,
+        "duration_s": round(cell.duration_s, 6),
+        "sim_time_s": round(cell.sim_time_s, 6),
+    }
+    if cell.status in (STATUS_OK, STATUS_CACHED):
+        outcome["payload"] = payload
+    if cell.error is not None:
+        outcome["error"] = cell.error
+    if cell.metrics is not None:
+        outcome["metrics"] = cell.metrics
+    committed = queue.commit(lease, outcome)
+    if committed:
+        if cell.status == STATUS_OK:
+            cache.put(lease.key, payload)
+        journal.append(key=lease.key, name=lease.spec.name,
+                       status=cell.status, payload=payload,
+                       attempts=cell.attempts, duration_s=cell.duration_s,
+                       error=cell.error)
+        label = cell.status
+    else:
+        cell = replace(cell, status=STATUS_FENCED)
+        label = "fenced: lease taken over"
+    manifest.record(cell)
+    if progress is not None:
+        progress(f"{lease.spec.name} [{label}]")
+    return committed
 
 
 class WorkerAgent:
@@ -166,6 +193,8 @@ class WorkerAgent:
             lease_timeout_s if lease_timeout_s is not None
             else heartbeat_interval_s * hb.STALE_FACTOR
         )
+        if cell_timeout_s is not None and not cell_timeout_s > 0:  # NaN-safe
+            raise ValueError("cell_timeout_s must be positive (or None)")
         self.cell_timeout_s = cell_timeout_s
         self.policy = RetryPolicy(max_retries=retries, jitter=jitter,
                                   seed=seed)
@@ -274,108 +303,40 @@ class WorkerAgent:
         try:
             payload = cache.get(lease.key)
             if payload is not None:
-                run = _CellRun(status=STATUS_CACHED, payload=payload)
                 self.stats.cache_hits += 1
+                cell = CellOutcome(name=lease.spec.name, key=lease.key,
+                                   status=STATUS_CACHED, attempts=0,
+                                   worker=self.worker)
             else:
-                run = self._execute(lease.spec.task, lease.key)
+                cell, payload = self._execute(lease)
         finally:
             beacon.cell_finished()
-        outcome = {
-            "name": lease.spec.name,
-            "status": run.status,
-            "attempts": run.attempts,
-            "retries": run.retries,
-            "duration_s": round(run.duration_s, 6),
-            "sim_time_s": round(run.sim_time_s, 6),
-        }
-        if run.status in (STATUS_OK, STATUS_CACHED):
-            outcome["payload"] = run.payload
-        if run.error is not None:
-            outcome["error"] = run.error
-        if run.metrics is not None:
-            outcome["metrics"] = run.metrics
-        committed = self.queue.commit(lease, outcome)
-        status = run.status if committed else STATUS_FENCED
-        if committed:
+        if commit_lease(self.queue, lease, cell, payload, cache=cache,
+                        journal=journal, manifest=self.manifest,
+                        progress=self._tick):
             self.stats.committed += 1
-            if run.status == STATUS_OK:
-                cache.put(lease.key, run.payload)
-            if run.status in (STATUS_OK, STATUS_CACHED):
-                journal.append(
-                    key=lease.key, name=lease.spec.name, status=run.status,
-                    payload=run.payload, attempts=run.attempts,
-                    duration_s=run.duration_s,
-                )
-            else:
-                journal.append(
-                    key=lease.key, name=lease.spec.name, status=run.status,
-                    attempts=run.attempts, duration_s=run.duration_s,
-                    error=run.error,
-                )
-            self._tick(f"{lease.spec.name} [{run.status}]")
         else:
             self.stats.fenced += 1
-            self._tick(f"{lease.spec.name} [fenced: lease taken over]")
-        self.manifest.record(CellOutcome(
-            name=lease.spec.name, key=lease.key, status=status,
-            attempts=run.attempts, retries=run.retries,
-            duration_s=run.duration_s, backoff_s=run.backoff_s,
-            error=run.error, sim_time_s=run.sim_time_s, metrics=run.metrics,
-            worker=self.worker,
-        ))
         self._write_manifest()
 
-    def _execute(self, task: CellTask, key: str) -> _CellRun:
-        """Run one cell with the local retry taxonomy."""
-        run = _CellRun(status=STATUS_OK)
+    def _execute(self, lease: Lease) -> Tuple[CellOutcome, Any]:
+        """Run the leased cell; its outcome and packed payload."""
+        task = lease.spec.task
         started = self._monotonic()
-        while True:
-            run.attempts += 1
-            try:
-                before = obs_metrics.snapshot()
-                with obs_trace.span(f"cell.{task.name}",
-                                    cat="cell") as cell_span:
-                    result = task.execute()
-                    snap = obs_metrics.delta(before, obs_metrics.snapshot())
-                    cell_span.set(sim_dur_s=_sim_time_of(snap))
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except BaseException as exc:  # noqa: BLE001 - classified below
-                category = classify(exc)
-                if (category is Category.TRANSIENT
-                        and run.retries < self.policy.max_retries):
-                    run.retries += 1
-                    self.stats.retries += 1
-                    # Salting with worker id decorrelates the fleet: a
-                    # shared-store blip no longer synchronizes retries.
-                    delay = self.policy.delay_for(
-                        run.retries, salt=f"{key}:{self.worker}"
-                    )
-                    run.backoff_s.append(delay)
-                    self._tick(f"{task.name} [retry {run.retries} "
-                               f"in {delay:.2f}s]")
-                    self._sleep(delay)
-                    continue
-                run.error = {
-                    "type": type(exc).__name__,
-                    "message": str(exc),
-                    "category": category.value,
-                }
-                if category is Category.POISON:
-                    run.status = STATUS_QUARANTINED
-                    self.stats.quarantined += 1
-                else:
-                    run.status = STATUS_FAILED
-                    self.stats.failed += 1
-                run.duration_s = self._monotonic() - started
-                return run
-            else:
-                run.metrics = snap
-                run.sim_time_s = _sim_time_of(snap)
-                run.payload = task.pack(result) if task.pack else result
-                run.duration_s = self._monotonic() - started
-                self.stats.executed += 1
-                return run
+        run = execute_cell(task, self.policy, f"{lease.key}:{self.worker}",
+                           sleep=self._sleep, progress=self._tick)
+        self.stats.retries += run.retries
+        payload = None
+        if run.status == STATUS_OK:
+            self.stats.executed += 1
+            payload = task.pack(run.result) if task.pack else run.result
+        elif run.status == STATUS_QUARANTINED:
+            self.stats.quarantined += 1
+        else:
+            self.stats.failed += 1
+        cell = run.outcome(lease.spec.name, lease.key,
+                           self._monotonic() - started, worker=self.worker)
+        return cell, payload
 
     # ------------------------------------------------------------------
     # bookkeeping

@@ -130,11 +130,6 @@ class CellTask:
         return self.fn(**self.kwargs)
 
 
-def _invoke(fn: Callable[..., Any], kwargs: Mapping[str, Any]) -> Any:
-    """In-process trampoline (kept module-level for picklability)."""
-    return fn(**kwargs)
-
-
 def _describe_exception(exc: BaseException) -> RemoteErrorInfo:
     """Package an exception so it survives the process boundary."""
     pickled: Optional[bytes] = None
@@ -156,15 +151,127 @@ def _sim_time_of(snap: Dict[str, Any]) -> float:
     return float(snap.get("counters", {}).get("netsim.sim_time_s", 0.0))
 
 
-def _child_main(conn: Any, fn: Callable[..., Any],
-                kwargs: Dict[str, Any],
+def _traced_attempt(name: str,
+                    call: Callable[[], Any]) -> Tuple[Any, Dict[str, Any]]:
+    """One attempt inside the ``cell.<name>`` span: (result, metrics delta)."""
+    before = obs_metrics.snapshot()
+    with obs_trace.span(f"cell.{name}", cat="cell") as cell_span:
+        result = call()
+        snap = obs_metrics.delta(before, obs_metrics.snapshot())
+        cell_span.set(sim_dur_s=_sim_time_of(snap))
+    return result, snap
+
+
+@dataclass
+class CellRun:
+    """One cell's record across all its attempts.
+
+    ``status`` is ``ok``, ``failed`` or ``quarantined``; ``result`` is
+    the cell's return value once it succeeded, ``error`` and
+    ``category`` its terminal failure otherwise.
+    """
+
+    status: str = STATUS_OK
+    result: Any = None
+    error: Optional[BaseException] = None
+    category: Optional[Category] = None
+    attempts: int = 0
+    retries: int = 0
+    backoff_s: List[float] = field(default_factory=list)
+    sim_time_s: float = 0.0
+    metrics: Optional[Dict[str, Any]] = None
+
+    def fail(self, exc: BaseException, category: Category) -> None:
+        """Record the terminal failure: poison quarantines, else fails."""
+        self.error = exc
+        self.category = category
+        self.status = (STATUS_QUARANTINED if category is Category.POISON
+                       else STATUS_FAILED)
+
+    def error_record(self) -> Optional[Dict[str, Any]]:
+        """The error as manifests, journals and lease outcomes store it."""
+        if self.error is None:
+            return None
+        return {
+            "type": type(self.error).__name__,
+            "message": str(self.error),
+            "category": self.category.value,
+        }
+
+    def outcome(self, name: str, key: str, duration_s: float,
+                **extra: Any) -> CellOutcome:
+        """This record as a manifest entry."""
+        return CellOutcome(
+            name=name, key=key, status=self.status, attempts=self.attempts,
+            retries=self.retries, duration_s=duration_s,
+            backoff_s=list(self.backoff_s), error=self.error_record(),
+            sim_time_s=self.sim_time_s, metrics=self.metrics, **extra,
+        )
+
+
+def _book_retry(run: CellRun, name: str, category: Category,
+                policy: RetryPolicy, salt: str,
+                progress: Optional[Callable[[str], None]]) -> Optional[float]:
+    """Count one retry of a transient failure and return its backoff.
+
+    None when the failure is not transient or the budget is spent.
+    Salting the jitter with the cell identity keeps each cell's schedule
+    deterministic but uncorrelated with its neighbours'.
+    """
+    if category is not Category.TRANSIENT or run.retries >= policy.max_retries:
+        return None
+    run.retries += 1
+    delay = policy.delay_for(run.retries, salt=salt)
+    run.backoff_s.append(delay)
+    if progress is not None:
+        progress(f"{name} [retry {run.retries} in {delay:.2f}s]")
+    return delay
+
+
+def execute_cell(task: CellTask, policy: RetryPolicy, salt: str, *,
+                 sleep: Callable[[float], None] = time.sleep,
+                 progress: Optional[Callable[[str], None]] = None,
+                 run: Optional[CellRun] = None) -> CellRun:
+    """Run one cell in this process under the error taxonomy.
+
+    Every attempt calls :meth:`CellTask.execute` inside the
+    ``cell.<name>`` span and takes the metrics delta around it.  A
+    failure is classified; a transient one is retried while
+    ``policy.max_retries`` allows, sleeping ``policy.delay_for(n,
+    salt=salt)`` in between, and anything else ends the loop.  ``run``
+    continues a record earlier attempts already counted into (the
+    pool's fallback).  The local runner salts with the cell key, a
+    fleet worker with ``key:worker`` so a fleet never retries in
+    lockstep.
+    """
+    run = CellRun() if run is None else run
+    while True:
+        run.attempts += 1
+        try:
+            run.result, run.metrics = _traced_attempt(task.name, task.execute)
+        except (KeyboardInterrupt, SystemExit):
+            raise
+        except BaseException as exc:  # noqa: BLE001 - classified below
+            category = classify(exc)
+            delay = _book_retry(run, task.name, category, policy, salt,
+                                progress)
+            if delay is None:
+                run.fail(exc, category)
+                return run
+            sleep(delay)
+        else:
+            run.sim_time_s = _sim_time_of(run.metrics)
+            return run
+
+
+def _child_main(conn: Any, task: CellTask,
                 obs_context: Optional[Dict[str, Any]] = None) -> None:
-    """Worker entry point: run one cell, report exactly one outcome.
+    """Worker entry point: run one cell attempt, report exactly one outcome.
 
     ``obs_context`` carries the parent's observability state across the
     process boundary: the parent-computed code fingerprint (so workers
-    never re-hash the source tree), the trace path (so worker spans land
-    in the same JSONL file), and the cell name for the span label.
+    never re-hash the source tree) and the trace path (so worker spans
+    land in the same JSONL file).
     """
     obs_context = obs_context or {}
     fingerprint = obs_context.get("code_fingerprint")
@@ -172,13 +279,8 @@ def _child_main(conn: Any, fn: Callable[..., Any],
         set_code_fingerprint(fingerprint)
     if obs_context.get("trace_path"):
         obs_trace.configure(obs_context["trace_path"])
-    name = obs_context.get("name", getattr(fn, "__name__", "cell"))
     try:
-        before = obs_metrics.snapshot()
-        with obs_trace.span(f"cell.{name}", cat="cell") as cell_span:
-            result = fn(**kwargs)
-            snap = obs_metrics.delta(before, obs_metrics.snapshot())
-            cell_span.set(sim_dur_s=_sim_time_of(snap))
+        result, snap = _traced_attempt(task.name, task.execute)
         outcome: Dict[str, Any] = {"status": "ok", "result": result,
                                    "metrics": snap}
     except BaseException as exc:  # noqa: BLE001 - report, don't die silently
@@ -219,19 +321,14 @@ class RunStats:
 
 
 @dataclass
-class _CellState:
-    """Mutable per-cell bookkeeping across attempts."""
+class _CellState(CellRun):
+    """A :class:`CellRun` plus the runner's per-cell bookkeeping."""
 
-    index: int
-    attempts: int = 0
-    retries_used: int = 0
+    index: int = 0
     timeouts: int = 0
     fallback: bool = False
-    backoff_s: List[float] = field(default_factory=list)
     first_started: Optional[float] = None
     key: Optional[str] = None
-    sim_time_s: float = 0.0
-    metrics: Optional[Dict[str, Any]] = None
 
 
 @dataclass
@@ -291,7 +388,7 @@ class TaskRunner:
             raise ValueError("jobs must be >= 0 (0/1 mean serial)")
         if retries < 0:
             raise ValueError("retries must be >= 0")
-        if timeout is not None and timeout <= 0:
+        if timeout is not None and not timeout > 0:  # NaN-safe
             raise ValueError("timeout must be positive (or None)")
         self.jobs = jobs
         self.cache = cache
@@ -361,18 +458,11 @@ class TaskRunner:
         payloads = self.journal.completed_payloads()
         remaining: List[int] = []
         for index in pending:
-            task, state = tasks[index], states[index]
+            state = states[index]
             if state.key in payloads:
-                payload = payloads[state.key]
-                results[index] = (
-                    task.unpack(payload) if task.unpack else payload
-                )
                 self.stats.resumed += 1
-                self.manifest.record(CellOutcome(
-                    name=task.name, key=state.key, status=STATUS_RESUMED,
-                    attempts=0,
-                ))
-                self._tick(f"{task.name} [resumed]")
+                self._replay(tasks[index], state, payloads[state.key],
+                             STATUS_RESUMED, results)
             else:
                 remaining.append(index)
         return remaining
@@ -387,21 +477,21 @@ class TaskRunner:
         for index in pending:
             task, state = tasks[index], states[index]
             payload = self.cache.get(state.key)
-            if payload is not None:
-                results[index] = (
-                    task.unpack(payload) if task.unpack else payload
-                )
-                self.stats.cache_hits += 1
-                self._journal_payload(task, state, payload,
-                                      status=STATUS_CACHED)
-                self.manifest.record(CellOutcome(
-                    name=task.name, key=state.key, status=STATUS_CACHED,
-                    attempts=0,
-                ))
-                self._tick(f"{task.name} [cached]")
-            else:
+            if payload is None:
                 remaining.append(index)
+                continue
+            self.stats.cache_hits += 1
+            self._journal(task, state, STATUS_CACHED, payload)
+            self._replay(task, state, payload, STATUS_CACHED, results)
         return remaining
+
+    def _replay(self, task: CellTask, state: _CellState, payload: Any,
+                status: str, results: List[Any]) -> None:
+        """Fill one result slot from a stored payload, executing nothing."""
+        results[state.index] = task.unpack(payload) if task.unpack else payload
+        self.manifest.record(CellOutcome(name=task.name, key=state.key,
+                                         status=status, attempts=0))
+        self._tick(f"{task.name} [{status}]")
 
     # ------------------------------------------------------------------
     # serial path (also the pool's last-resort fallback)
@@ -409,38 +499,21 @@ class TaskRunner:
 
     def _execute_inline(self, task: CellTask, state: _CellState,
                         results: List[Any]) -> None:
-        """Run one cell in-process, applying the full retry taxonomy.
+        """Run one cell in-process through :func:`execute_cell`.
 
         The watchdog cannot enforce deadlines here (there is no worker to
         kill), so ``timeout`` only applies on the pool path.
         """
-        while True:
-            if state.first_started is None:
-                state.first_started = self._monotonic()
-            state.attempts += 1
-            try:
-                before = obs_metrics.snapshot()
-                with obs_trace.span(f"cell.{task.name}",
-                                    cat="cell") as cell_span:
-                    result = task.execute()
-                    snap = obs_metrics.delta(before, obs_metrics.snapshot())
-                    cell_span.set(sim_dur_s=_sim_time_of(snap))
-                state.metrics = snap
-                state.sim_time_s = _sim_time_of(snap)
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except BaseException as exc:  # noqa: BLE001 - classified below
-                category = classify(exc)
-                if (category is Category.TRANSIENT
-                        and state.retries_used < self.policy.max_retries):
-                    delay = self._note_retry(task, state)
-                    self._sleep(delay)
-                    continue
-                self._dispose_failure(task, state, category, exc, results)
-                return
-            else:
-                self._complete(task, state, result, results)
-                return
+        if state.first_started is None:
+            state.first_started = self._monotonic()
+        retries = state.retries
+        execute_cell(task, self.policy, state.key or task.name,
+                     sleep=self._sleep, progress=self.progress, run=state)
+        self.stats.retries += state.retries - retries
+        if state.status == STATUS_OK:
+            self._complete(task, state, state.result, results)
+        else:
+            self._dispose_failure(task, state, results)
 
     # ------------------------------------------------------------------
     # pool path: sliding window of watched worker processes
@@ -499,18 +572,15 @@ class TaskRunner:
                active: Dict[Any, _Active]) -> None:
         parent_conn, child_conn = ctx.Pipe(duplex=False)
         obs_context = {
-            "name": task.name,
             # Computed once per parent (memoized) and shipped, so a
             # fresh worker never re-hashes the whole source tree just
             # to key its first cell.
             "code_fingerprint": code_fingerprint(),
             "trace_path": obs_trace.trace_path(),
         }
-        process = ctx.Process(
-            target=_child_main,
-            args=(child_conn, task.fn, dict(task.kwargs), obs_context),
-            daemon=True,
-        )
+        process = ctx.Process(target=_child_main,
+                              args=(child_conn, task, obs_context),
+                              daemon=True)
         process.start()
         child_conn.close()
         started = self._monotonic()
@@ -540,14 +610,7 @@ class TaskRunner:
                                      results, requeue, fallbacks,
                                      crash=True)
         elif message.get("status") == "ok":
-            snap = message.get("metrics")
-            if snap:
-                state.metrics = snap
-                state.sim_time_s = _sim_time_of(snap)
-                # Fold the worker's process-local counters into the
-                # parent registry so ``--metrics`` reports sweep totals.
-                obs_metrics.REGISTRY.merge(snap)
-            self._complete(task, state, message["result"], results)
+            self._accept(task, state, message, results)
         else:
             info: RemoteErrorInfo = message["info"]
             self._after_pool_failure(task, state, info.category(),
@@ -590,9 +653,10 @@ class TaskRunner:
                             requeue: Callable[[int, float], None],
                             fallbacks: List[int], crash: bool) -> None:
         """Route a pool-side failure through the taxonomy."""
-        if (category is Category.TRANSIENT
-                and state.retries_used < self.policy.max_retries):
-            delay = self._note_retry(task, state)
+        delay = _book_retry(state, task.name, category, self.policy,
+                            state.key or task.name, self.progress)
+        if delay is not None:
+            self.stats.retries += 1
             requeue(state.index, self._monotonic() + delay)
             return
         if crash:
@@ -610,7 +674,8 @@ class TaskRunner:
             self.stats.fallbacks += 1
             fallbacks.append(state.index)
             return
-        self._dispose_failure(task, state, category, exc, results)
+        state.fail(exc, category)
+        self._dispose_failure(task, state, results)
 
     def _next_tick(self, active: Dict[Any, _Active],
                    delayed: List[Tuple[float, int, int]]) -> Optional[float]:
@@ -642,13 +707,8 @@ class TaskRunner:
                     if (isinstance(message, dict)
                             and message.get("status") == "ok"):
                         entry.state.attempts += 1
-                        snap = message.get("metrics")
-                        if snap:
-                            entry.state.metrics = snap
-                            entry.state.sim_time_s = _sim_time_of(snap)
-                            obs_metrics.REGISTRY.merge(snap)
-                        self._complete(tasks[entry.state.index], entry.state,
-                                       message["result"], results)
+                        self._accept(tasks[entry.state.index], entry.state,
+                                     message, results)
             except Exception:  # noqa: BLE001 - best-effort during shutdown
                 pass
             finally:
@@ -664,17 +724,17 @@ class TaskRunner:
     # outcome bookkeeping
     # ------------------------------------------------------------------
 
-    def _note_retry(self, task: CellTask, state: _CellState) -> float:
-        state.retries_used += 1
-        self.stats.retries += 1
-        # Salting with the cell identity keeps jittered schedules
-        # deterministic per cell but uncorrelated across cells.
-        delay = self.policy.delay_for(state.retries_used,
-                                      salt=state.key or task.name)
-        state.backoff_s.append(delay)
-        self._tick(f"{task.name} [retry {state.retries_used} "
-                   f"in {delay:.2f}s]")
-        return delay
+    def _accept(self, task: CellTask, state: _CellState,
+                message: Dict[str, Any], results: List[Any]) -> None:
+        """Complete a cell from a worker's ok message."""
+        snap = message.get("metrics")
+        if snap:
+            state.metrics = snap
+            state.sim_time_s = _sim_time_of(snap)
+            # Fold the worker's process-local counters into the parent
+            # registry so ``--metrics`` reports sweep totals.
+            obs_metrics.REGISTRY.merge(snap)
+        self._complete(task, state, message["result"], results)
 
     def _complete(self, task: CellTask, state: _CellState, result: Any,
                   results: List[Any]) -> None:
@@ -683,75 +743,51 @@ class TaskRunner:
             payload = task.pack(result) if task.pack else result
             if self.cache is not None:
                 self.cache.put(state.key or task.cache_key(), payload)
-            self._journal_payload(task, state, payload, status=STATUS_OK)
+            self._journal(task, state, STATUS_OK, payload)
         self.stats.executed += 1
-        self.manifest.record(self._outcome(task, state, STATUS_OK))
+        self.manifest.record(self._outcome(task, state))
         self._tick(task.name + (" [fallback]" if state.fallback else ""))
 
     def _dispose_failure(self, task: CellTask, state: _CellState,
-                         category: Category, exc: BaseException,
                          results: List[Any]) -> None:
         """Terminal failure: quarantine, record, or raise."""
-        error = {
-            "type": type(exc).__name__,
-            "message": str(exc),
-            "category": category.value,
-        }
-        if category is Category.POISON:
-            status = STATUS_QUARANTINED
+        if state.status == STATUS_QUARANTINED:
             self.stats.quarantined += 1
         else:
-            status = STATUS_FAILED
             self.stats.failed += 1
-        self.manifest.record(self._outcome(task, state, status, error=error))
-        if self.journal is not None:
-            self.journal.append(
-                key=state.key or task.cache_key(), name=task.name,
-                status=status, attempts=state.attempts,
-                duration_s=self._elapsed(state), error=error,
-            )
-        if category is Category.POISON:
-            # Quarantine never sinks the sweep, even in failfast mode.
-            results[state.index] = CellFailure(
-                name=task.name, key=state.key or "", category=category.value,
-                error_type=type(exc).__name__, message=str(exc),
-                attempts=state.attempts,
-            )
-            self._tick(f"{task.name} [quarantined]")
-            return
-        if self.failfast:
-            raise exc
+        self.manifest.record(self._outcome(task, state))
+        self._journal(task, state, state.status)
+        # Quarantine never sinks the sweep, even in failfast mode.
+        if state.status == STATUS_FAILED and self.failfast:
+            raise state.error
         results[state.index] = CellFailure(
-            name=task.name, key=state.key or "", category=category.value,
-            error_type=type(exc).__name__, message=str(exc),
+            name=task.name, key=state.key or "",
+            category=state.category.value,
+            error_type=type(state.error).__name__, message=str(state.error),
             attempts=state.attempts,
         )
-        self._tick(f"{task.name} [failed]")
+        self._tick(f"{task.name} [{state.status}]")
 
-    def _outcome(self, task: CellTask, state: _CellState, status: str,
-                 error: Optional[Dict[str, Any]] = None) -> CellOutcome:
-        return CellOutcome(
-            name=task.name, key=state.key or "", status=status,
-            attempts=state.attempts, retries=state.retries_used,
-            duration_s=self._elapsed(state), fallback=state.fallback,
-            timeouts=state.timeouts, backoff_s=list(state.backoff_s),
-            error=error, sim_time_s=state.sim_time_s, metrics=state.metrics,
-        )
+    def _outcome(self, task: CellTask, state: _CellState) -> CellOutcome:
+        return state.outcome(task.name, state.key or "",
+                             self._elapsed(state), fallback=state.fallback,
+                             timeouts=state.timeouts)
 
     def _elapsed(self, state: _CellState) -> float:
         if state.first_started is None:
             return 0.0
         return self._monotonic() - state.first_started
 
-    def _journal_payload(self, task: CellTask, state: _CellState,
-                         payload: Any, status: str) -> None:
+    def _journal(self, task: CellTask, state: _CellState, status: str,
+                 payload: Any = None) -> None:
+        """Checkpoint one cell (a no-op without a journal)."""
         if self.journal is None:
             return
         try:
             self.journal.append(
                 key=state.key or task.cache_key(), name=task.name,
                 status=status, payload=payload, attempts=state.attempts,
-                duration_s=self._elapsed(state),
+                duration_s=self._elapsed(state), error=state.error_record(),
             )
         except TypeError:
             # A task without a pack codec returned something JSON cannot

@@ -247,6 +247,10 @@ class FaultSchedule:
         return cls(tuple(events))
 
 
+#: Shortest session the standard disturbance's five faults fit into.
+STANDARD_DISTURBANCE_MIN_S = 10.0
+
+
 def standard_disturbance(duration_s: float,
                          victim: str = "U2") -> FaultSchedule:
     """The canonical scripted disturbance used by the resilience experiment.
@@ -256,7 +260,7 @@ def standard_disturbance(duration_s: float,
     blackout, a server outage (ignored by P2P sessions), a loss burst, a
     bandwidth collapse, and a WiFi degradation.
     """
-    if duration_s < 10.0:
+    if duration_s < STANDARD_DISTURBANCE_MIN_S:
         raise ValueError("the standard disturbance needs >= 10 s of session")
     f = duration_s  # event placement scales with the session length
     return FaultSchedule.scripted([

@@ -8,6 +8,16 @@ from repro.keypoints.motion import capture_session
 from repro.mesh.generate import head_mesh, persona_mesh
 
 
+def pytest_addoption(parser):
+    group = parser.getgroup("golden", "golden output digests")
+    group.addoption("--golden-all", action="store_true",
+                    help="also check the paper subcommands' golden digests "
+                         "(tier-1 checks the sweep subcommands only)")
+    group.addoption("--regen-golden", action="store_true",
+                    help="run every golden case and rewrite "
+                         "tests/golden/digests.json")
+
+
 @pytest.fixture(scope="session")
 def persona():
     """The 78,030-triangle spatial persona mesh."""

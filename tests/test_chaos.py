@@ -122,6 +122,16 @@ class TestWatchdog:
         assert results[1] == 8
         assert runner.stats.timeouts == 1
 
+    def test_armed_idle_watchdog_records_no_timeouts(self):
+        """A deadline nothing comes near kills nothing and retries nothing."""
+        runner = TaskRunner(jobs=2, timeout=300.0)
+        tasks = [CellTask(name=f"fine-{i}", fn=_double, kwargs={"value": i})
+                 for i in range(4)]
+        assert runner.run(tasks) == [0, 2, 4, 6]
+        assert runner.stats.timeouts == 0
+        assert runner.stats.retries == 0
+        assert runner.stats.executed == len(tasks)
+
 
 # ---------------------------------------------------------------------------
 # SIGKILL: dead workers retry; persistent death falls back loudly

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.study import Study, repeat_experiment
 from repro.core.testbed import default_two_user_testbed, multi_user_testbed
 from repro.core.testbed import Testbed as CoreTestbed
 from repro.devices.models import MacBook, VisionPro
@@ -41,26 +40,3 @@ class TestTestbed:
     def test_too_few_users_rejected(self):
         with pytest.raises(ValueError):
             multi_user_testbed(1)
-
-
-class TestStudyRunner:
-    def test_repeat_runs_distinct_seeds(self):
-        seen = []
-        repeat_experiment("x", seen.append, repeats=5, base_seed=10)
-        assert seen == [10, 11, 12, 13, 14]
-
-    def test_repeated_summary(self):
-        result = repeat_experiment("x", lambda seed: float(seed), repeats=5)
-        assert result.summary(lambda v: v).mean == 2.0
-        assert result.n == 5
-
-    def test_zero_repeats_rejected(self):
-        with pytest.raises(ValueError):
-            repeat_experiment("x", lambda s: s, repeats=0)
-
-    def test_study_collects_by_name(self):
-        study = Study("demo", repeats=2)
-        study.run("exp-a", lambda seed: seed)
-        study.run("exp-b", lambda seed: seed * 2)
-        assert study.experiment_names() == ["exp-a", "exp-b"]
-        assert study.get("exp-b").n == 2

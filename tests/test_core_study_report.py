@@ -1,4 +1,4 @@
-"""Coverage for `repro.core.study` and `repro.report` — the full export path.
+"""Coverage for `repro.report` — the full export path.
 
 The report is the repo's deliverable: every section, generated once
 serially and once through the sharded/cached path, must be the same
@@ -9,10 +9,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro import calibration
 from repro.cli import build_parser, main
 from repro.core.cache import ResultCache
-from repro.core.study import Repeated, Study, repeat_experiment
 from repro.report import ReportSettings, generate_report
 
 #: Smallest settings every section tolerates (fig6's network half runs at
@@ -31,40 +29,6 @@ _SECTIONS = (
     "## Placement study — global demand x selection policy",
     "## Fault gauntlet — correlated domains at fleet scale",
 )
-
-
-class TestStudy:
-    def test_repeat_experiment_hands_out_consecutive_seeds(self):
-        seen = []
-
-        def fn(seed: int) -> int:
-            seen.append(seed)
-            return seed * seed
-
-        result = repeat_experiment("squares", fn, repeats=4, base_seed=10)
-        assert seen == [10, 11, 12, 13]
-        assert result.n == 4
-        assert result.results == [100, 121, 144, 169]
-
-    def test_repeat_experiment_rejects_zero_repeats(self):
-        with pytest.raises(ValueError):
-            repeat_experiment("nope", lambda seed: seed, repeats=0)
-
-    def test_repeated_values_and_summary(self):
-        repeated = Repeated("r", [{"x": 1.0}, {"x": 3.0}])
-        assert repeated.values(lambda r: r["x"]) == [1.0, 3.0]
-        assert repeated.summary(lambda r: r["x"]).mean == 2.0
-
-    def test_study_collects_in_insertion_order(self):
-        study = Study("s", repeats=2, base_seed=5)
-        study.run("first", lambda seed: seed)
-        study.run("second", lambda seed: -seed)
-        assert study.experiment_names() == ["first", "second"]
-        assert study.get("first").results == [5, 6]
-        assert study.get("second").results == [-5, -6]
-
-    def test_study_defaults_follow_the_paper(self):
-        assert Study("s").repeats == calibration.MIN_REPEATS
 
 
 @pytest.fixture(scope="module")
