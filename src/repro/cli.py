@@ -45,11 +45,13 @@ def _min_duration(command: str) -> Optional[Tuple[float, str]]:
     from repro.analysis.throughput import MIN_WINDOWED_SESSION_S
     from repro.faults.schedule import STANDARD_DISTURBANCE_MIN_S
 
+    windowed = (MIN_WINDOWED_SESSION_S, "one throughput window after the "
+                                        "skipped head, with slack")
     fig6_half = (2 * MIN_WINDOWED_SESSION_S,
                  "fig6's network half runs at duration / 2")
     return {
-        "fig4": (MIN_WINDOWED_SESSION_S, "one throughput window after the "
-                                         "skipped head, with slack"),
+        "fig4": windowed,
+        "campaign": windowed,
         "fig6": fig6_half,
         "report": fig6_half,
         "reproduce": fig6_half,
@@ -82,12 +84,22 @@ class _NameList(argparse.Action):
                  if name])
 
 
+class _Given(argparse.Action):
+    """Store the value and note the flag as given (``--quick`` refuses
+    an explicit ``--duration`` or ``--repeats``)."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = getattr(namespace, "given", ()) + (
+            self.option_strings[0],)
+
+
 def _add_common(parser: argparse.ArgumentParser, command: str) -> None:
     parser.add_argument("--seed", type=int, default=0, help="master seed")
     parser.add_argument("--duration", type=_duration(command), default=20.0,
-                        help="session seconds per run")
+                        action=_Given, help="session seconds per run")
     parser.add_argument("--repeats", type=int,
-                        default=calibration.MIN_REPEATS,
+                        default=calibration.MIN_REPEATS, action=_Given,
                         help="independent repeats per experiment")
 
 
@@ -279,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(p, name)
         if name in ("report", "reproduce"):
             p.add_argument("--quick", action="store_true",
-                           help="short smoke-run settings")
+                           help="short smoke-run settings (fixes "
+                                "--duration and --repeats; takes --seed)")
             p.add_argument("--output", help="write markdown to this path")
         if name == "campaign":
             p.add_argument("--vcas", nargs="+",
@@ -745,7 +758,8 @@ def _cmd_report(args) -> int:
     from repro.report import ReportSettings, generate_report
 
     settings = (
-        ReportSettings.quick() if args.quick
+        dataclasses.replace(ReportSettings.quick(), seed=args.seed)
+        if args.quick
         else ReportSettings(duration_s=args.duration, repeats=args.repeats,
                             seed=args.seed)
     )
@@ -851,7 +865,10 @@ _COMMANDS = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "quick", False) and getattr(args, "given", ()):
+        parser.error(f"argument {args.given[0]}: not allowed with --quick")
     return _COMMANDS[args.command](args)
 
 

@@ -13,15 +13,18 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import asdict, dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import calibration
+from repro.core.parallel import CellTask, run_tasks
 from repro.geo.coords import GeoPoint
 from repro.geo.regions import city
 from repro.geo.servers import ALL_FLEETS, ServerFleet
+from repro.keypoints.layered import (AdaptiveLayerSelector, Layer,
+                                     LayeredSemanticCodec)
 from repro.rendering.gaze import AttentionModel, arrange_personas
 from repro.rendering.lod import LodPolicy, VisibilityState
 
@@ -78,6 +81,17 @@ def run_delivery_culling(
     return DeliveryCullingResult(n_users, baseline, culled)
 
 
+def _unpack_culling(payload: Dict[str, float]) -> DeliveryCullingResult:
+    return DeliveryCullingResult(**payload)
+
+
+def culling_task(duration_s: float, seed: int) -> CellTask:
+    """A1 as one cell."""
+    return CellTask(name="ablations/A1", fn=run_delivery_culling,
+                    kwargs={"duration_s": duration_s, "seed": seed},
+                    pack=asdict, unpack=_unpack_culling)
+
+
 # ---------------------------------------------------------------------------
 # A4 — layered semantic codec (rate adaptation the paper finds missing)
 # ---------------------------------------------------------------------------
@@ -117,12 +131,36 @@ class LayeredCodecResult:
         return "\n".join(lines)
 
 
-def _measure_layered_at_limit(limit_kbps: float, layer,
-                              duration_s: float, seed: int
-                              ) -> LayeredRatePoint:
+#: Uplink limits of the A4 sweep (Kbps): the Sec. 4.3 range, down to 100.
+LAYERED_LIMITS_KBPS: Tuple[float, ...] = (
+    2000.0, 1000.0, 700.0, 600.0, 500.0, 400.0, 300.0, 200.0, 100.0
+)
+
+
+def select_layers(limits_kbps: Sequence[float], seed: int) -> List[list]:
+    """``[limit, layer]`` per limit: the layer the adaptive sender picks
+    (None: not even BASE fits), from one selector profile for the sweep."""
+    selector = AdaptiveLayerSelector(LayeredSemanticCodec(seed=seed))
+    plan = []
+    for limit in limits_kbps:
+        layer = selector.select(limit / 1000.0)
+        plan.append([limit, None if layer is None else int(layer)])
+    return plan
+
+
+def layer_selection_task(seed: int,
+                         limits_kbps: Sequence[float] = LAYERED_LIMITS_KBPS
+                         ) -> CellTask:
+    """:func:`select_layers` as one cell (its result is plain JSON)."""
+    return CellTask(name="ablations/A4/layers", fn=select_layers,
+                    kwargs={"limits_kbps": limits_kbps, "seed": seed})
+
+
+def measure_layered_at_limit(limit_kbps: float, layer: int,
+                             duration_s: float, seed: int
+                             ) -> LayeredRatePoint:
     """Run one shaped layered stream and count decodable frames."""
     from repro.geo.regions import city
-    from repro.keypoints.layered import LayeredSemanticCodec
     from repro.netsim.engine import Simulator
     from repro.netsim.network import Network
     from repro.netsim.node import Host
@@ -130,6 +168,7 @@ def _measure_layered_at_limit(limit_kbps: float, layer,
     from repro.keypoints.codec import EncodedKeypointFrame
     from repro.vca.media import LayeredSemanticSource, quic_connection_for
 
+    layer = Layer(layer)
     sim = Simulator()
     network = Network(sim)
     sender = Host("10.0.0.2", city("san jose"), name="sender")
@@ -164,9 +203,43 @@ def _measure_layered_at_limit(limit_kbps: float, layer,
     return LayeredRatePoint(limit_kbps, layer, availability, degraded)
 
 
+def _pack_layered(point: LayeredRatePoint) -> Dict[str, object]:
+    return {**asdict(point), "layer": int(point.layer)}
+
+
+def _unpack_layered(payload: Dict[str, object]) -> LayeredRatePoint:
+    return LayeredRatePoint(**{**payload, "layer": Layer(payload["layer"])})
+
+
+def layered_tasks(plan: Sequence[list], duration_s: float,
+                  seed: int) -> List[CellTask]:
+    """One shaped-stream cell per limit of ``plan`` whose layer runs."""
+    return [
+        CellTask(
+            name=f"ablations/A4/{limit:g}",
+            fn=measure_layered_at_limit,
+            kwargs={"limit_kbps": limit, "layer": layer,
+                    "duration_s": duration_s, "seed": seed},
+            pack=_pack_layered,
+            unpack=_unpack_layered,
+        )
+        for limit, layer in plan if layer is not None
+    ]
+
+
+def layered_result(plan: Sequence[list],
+                   streamed: Sequence[LayeredRatePoint]) -> LayeredCodecResult:
+    """The A4 sweep from its layer plan and streamed points."""
+    points = iter(streamed)
+    return LayeredCodecResult([
+        LayeredRatePoint(limit, None, 0.0, True) if layer is None
+        else next(points)
+        for limit, layer in plan
+    ])
+
+
 def run_layered_codec(
-    limits_kbps=(2000.0, 1000.0, 700.0, 600.0, 500.0, 400.0, 300.0, 200.0,
-                 100.0),
+    limits_kbps=LAYERED_LIMITS_KBPS,
     duration_s: float = 10.0,
     seed: int = 0,
 ) -> LayeredCodecResult:
@@ -177,19 +250,9 @@ def run_layered_codec(
     "poor connection" below 700 Kbps, the layered sender stays available
     down to the BASE layer's ~200 Kbps.
     """
-    from repro.keypoints.layered import AdaptiveLayerSelector, LayeredSemanticCodec
-
-    selector = AdaptiveLayerSelector(LayeredSemanticCodec(seed=seed))
-    points = []
-    for limit in limits_kbps:
-        layer = selector.select(limit / 1000.0)
-        if layer is None:
-            points.append(LayeredRatePoint(limit, None, 0.0, True))
-            continue
-        points.append(
-            _measure_layered_at_limit(limit, layer, duration_s, seed)
-        )
-    return LayeredCodecResult(points)
+    plan = select_layers(limits_kbps, seed)
+    return layered_result(
+        plan, run_tasks(layered_tasks(plan, duration_s, seed)))
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ import numpy as np
 from repro import calibration
 from repro.analysis.stats import SummaryStats, summarize_samples
 from repro.capture.rgbd import RgbdCamera
+from repro.core.parallel import CellTask
 from repro.keypoints.codec import SemanticCodec
 from repro.mesh.codec import DracoLikeCodec
 from repro.mesh.generate import sketchfab_head_set
@@ -130,3 +131,44 @@ def run_display_latency(
             points.append((float(delay), float(np.mean(diffs))))
         series[mode.value] = points
     return DisplayLatencyResult(series)
+
+
+# The codecs pack mappings as pairs: the cache sorts mapping keys, and
+# the mesh summary sums in mesh order.
+
+def _pack_mesh(result: MeshStreamingResult) -> List[list]:
+    return [[name, mbps] for name, mbps in result.per_mesh_mbps.items()]
+
+
+def _unpack_mesh(payload: List[list]) -> MeshStreamingResult:
+    return MeshStreamingResult({name: mbps for name, mbps in payload})
+
+
+def _pack_keypoints(result: KeypointStreamingResult) -> List[int]:
+    return result.frame_bytes
+
+
+def _pack_latency(result: DisplayLatencyResult) -> List[list]:
+    return [[mode, points] for mode, points in result.series.items()]
+
+
+def _unpack_latency(payload: List[list]) -> DisplayLatencyResult:
+    return DisplayLatencyResult({
+        mode: [tuple(point) for point in points] for mode, points in payload
+    })
+
+
+def hypothesis_tasks(seed: int) -> List[CellTask]:
+    """The three delivery hypotheses, one cell each: mesh streaming,
+    keypoint streaming, the display-latency sweep."""
+    return [
+        CellTask(name="content/mesh", fn=run_mesh_streaming,
+                 kwargs={"seed": seed}, pack=_pack_mesh,
+                 unpack=_unpack_mesh),
+        CellTask(name="content/keypoints", fn=run_keypoint_streaming,
+                 kwargs={"seed": seed}, pack=_pack_keypoints,
+                 unpack=KeypointStreamingResult),
+        CellTask(name="content/display-latency", fn=run_display_latency,
+                 kwargs={"seed": seed}, pack=_pack_latency,
+                 unpack=_unpack_latency),
+    ]

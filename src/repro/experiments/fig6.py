@@ -11,7 +11,6 @@ Two coupled measurements per user count:
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -24,6 +23,7 @@ from repro.core.cache import ResultCache
 from repro.core.journal import RunJournal, RunManifest
 from repro.core.parallel import CellTask, run_tasks
 from repro.core.testbed import multi_user_testbed
+from repro.experiments.fig4 import pack_stats, unpack_stats
 from repro.netsim.capture import Direction
 from repro.rendering.pipeline import RenderPipeline
 from repro.vca.cohort import CohortRunner, SfuCohortResult, sfu_cohort_downlink
@@ -98,13 +98,13 @@ def measure_rendering_cell(
 
 
 def _pack_rendering(result: Tuple[SummaryStats, ...]) -> List[Dict[str, float]]:
-    return [dataclasses.asdict(stats) for stats in result]
+    return [pack_stats(stats) for stats in result]
 
 
 def _unpack_rendering(
     payload: List[Dict[str, float]]
 ) -> Tuple[SummaryStats, SummaryStats, SummaryStats]:
-    tri, gpu, cpu = (SummaryStats(**entry) for entry in payload)
+    tri, gpu, cpu = (unpack_stats(entry) for entry in payload)
     return tri, gpu, cpu
 
 
@@ -193,14 +193,6 @@ def measure_network_cell(n: int, duration_s: float, repeats: int,
     return summarize_samples(windows)
 
 
-def _pack_network(stats: SummaryStats) -> Dict[str, float]:
-    return dataclasses.asdict(stats)
-
-
-def _unpack_network(payload: Dict[str, float]) -> SummaryStats:
-    return SummaryStats(**payload)
-
-
 def run_network(duration_s: float = 20.0,
                 repeats: int = calibration.MIN_REPEATS,
                 seed: int = 0, jobs: int = 1,
@@ -215,8 +207,8 @@ def run_network(duration_s: float = 20.0,
             fn=measure_network_cell,
             kwargs={"n": n, "duration_s": duration_s, "repeats": repeats,
                     "seed": seed},
-            pack=_pack_network,
-            unpack=_unpack_network,
+            pack=pack_stats,
+            unpack=unpack_stats,
         )
         for n in USER_COUNTS
     ]

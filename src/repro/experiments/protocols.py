@@ -16,10 +16,11 @@ session layer does:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.protocol import classify_capture
+from repro.core.parallel import CellTask, run_tasks
 from repro.devices.models import Device, MacBook, VisionPro
 from repro.geo.geolocate import AnycastProbe
 from repro.geo.regions import all_clients, city
@@ -62,19 +63,70 @@ def observe_session_protocol(profile: VcaProfile, devices: List[Device],
     )
 
 
+#: Device factories by device class, as cell kwargs name them.
+_DEVICES = {"Vision Pro": VisionPro, "MacBook": MacBook}
+
+#: The paper's two-party device mixes (Sec. 4.1), swept for every VCA.
+MIXES: Tuple[Tuple[str, ...], ...] = (
+    ("Vision Pro", "Vision Pro"),
+    ("Vision Pro", "MacBook"),
+)
+
+#: The mix whose FaceTime call falls back to RTP, and the plain 2D call
+#: whose payload types that fallback is compared with.
+FALLBACK_MIX = MIXES[1]
+PLAIN_2D_MIX = ("MacBook", "MacBook")
+
+
+def observe_mix(vca: str, devices: Sequence[str],
+                seed: int) -> ProtocolObservation:
+    """One ``vca`` session on ``devices`` (device classes): a Sec. 4.1 cell."""
+    return observe_session_protocol(
+        PROFILES[vca], [_DEVICES[name]() for name in devices], seed=seed
+    )
+
+
+def _unpack_observation(payload: Dict[str, object]) -> ProtocolObservation:
+    return ProtocolObservation(**payload)
+
+
+def _observation_task(vca: str, devices: Sequence[str],
+                      seed: int) -> CellTask:
+    return CellTask(
+        name=f"protocols/{vca}/{'+'.join(devices)}",
+        fn=observe_mix,
+        kwargs={"vca": vca, "devices": devices, "seed": seed},
+        pack=asdict,
+        unpack=_unpack_observation,
+    )
+
+
+def matrix_tasks(seed: int) -> List[CellTask]:
+    """One cell per (VCA, device mix) of the paper's sweep."""
+    return [_observation_task(vca, mix, seed)
+            for vca in PROFILES for mix in MIXES]
+
+
+def plain_2d_task(seed: int) -> CellTask:
+    """The MacBook + MacBook FaceTime call of the RTP-fallback check."""
+    return _observation_task("FaceTime", PLAIN_2D_MIX, seed + 1)
+
+
+def fallback_keeps_2d(observations: Sequence[ProtocolObservation],
+                      plain: ProtocolObservation) -> bool:
+    """Whether the FaceTime fallback call in ``observations`` carries the
+    dominant payload type of the ``plain`` 2D call."""
+    mixed = next(obs for obs in observations if obs.vca == "FaceTime"
+                 and obs.device_mix == "+".join(FALLBACK_MIX))
+    return (
+        mixed.dominant_payload_type == plain.dominant_payload_type
+        == FACETIME_VIDEO_PT.number
+    )
+
+
 def run_protocol_matrix(seed: int = 0) -> List[ProtocolObservation]:
     """The paper's device-mix sweep for all four VCAs."""
-    observations = []
-    mixes = [
-        [VisionPro(), VisionPro()],
-        [VisionPro(), MacBook()],
-    ]
-    for profile in PROFILES.values():
-        for devices in mixes:
-            observations.append(
-                observe_session_protocol(profile, devices, seed=seed)
-            )
-    return observations
+    return run_tasks(matrix_tasks(seed))
 
 
 def facetime_fallback_keeps_2d_payload_type(seed: int = 0) -> bool:
@@ -83,16 +135,10 @@ def facetime_fallback_keeps_2d_payload_type(seed: int = 0) -> bool:
     Compares the dominant PT of a Vision Pro + MacBook FaceTime call with
     a plain 2D call between two MacBooks.
     """
-    mixed = observe_session_protocol(
-        PROFILES["FaceTime"], [VisionPro(), MacBook()], seed=seed
-    )
-    plain = observe_session_protocol(
-        PROFILES["FaceTime"], [MacBook(), MacBook()], seed=seed + 1
-    )
-    return (
-        mixed.dominant_payload_type == plain.dominant_payload_type
-        == FACETIME_VIDEO_PT.number
-    )
+    mixed, plain = run_tasks([_observation_task("FaceTime", FALLBACK_MIX,
+                                                seed),
+                              plain_2d_task(seed)])
+    return fallback_keeps_2d([mixed], plain)
 
 
 @dataclass(frozen=True)
@@ -142,3 +188,15 @@ def run_anycast_check(repeats: int = 5, seed: int = 0) -> Dict[str, bool]:
             anycast = anycast or probe.is_anycast(rtts)
         verdicts[vca] = anycast
     return verdicts
+
+
+def _verdict_pairs(verdicts: Dict[str, bool]) -> List[Tuple[str, bool]]:
+    # Pairs, not a mapping: the cache sorts mapping keys, and the verdicts
+    # read in fleet order.
+    return list(verdicts.items())
+
+
+def anycast_task(seed: int) -> CellTask:
+    """The anycast probe as one cell."""
+    return CellTask(name="protocols/anycast", fn=run_anycast_check,
+                    kwargs={"seed": seed}, pack=_verdict_pairs, unpack=dict)

@@ -9,13 +9,19 @@ the "poor connection" state below 700 Kbps, with no bitrate downscaling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro import calibration
+from repro.core.parallel import CellTask, run_tasks
 from repro.core.testbed import default_two_user_testbed
 from repro.netsim.shaper import TrafficShaper
 from repro.vca.profiles import PROFILES
+
+#: The swept uplink limits, generous to starved, across the cutoff region.
+LIMITS_KBPS: Tuple[float, ...] = (
+    2000.0, 1500.0, 1000.0, 800.0, 700.0, 650.0, 600.0, 500.0, 400.0, 300.0
+)
 
 
 @dataclass(frozen=True)
@@ -93,14 +99,33 @@ def measure_at_limit(limit_kbps: float, duration_s: float = 20.0,
     )
 
 
+def _unpack_point(payload: Dict[str, object]) -> RatePoint:
+    return RatePoint(**payload)
+
+
+def sweep_tasks(duration_s: float, seed: int,
+                limits_kbps: Tuple[float, ...] = LIMITS_KBPS
+                ) -> List[CellTask]:
+    """One shaped-session cell per uplink limit."""
+    return [
+        CellTask(
+            name=f"rate/{limit:g}",
+            fn=measure_at_limit,
+            kwargs={"limit_kbps": limit, "duration_s": duration_s,
+                    "seed": seed},
+            pack=asdict,
+            unpack=_unpack_point,
+        )
+        for limit in limits_kbps
+    ]
+
+
 def run(
-    limits_kbps: Tuple[float, ...] = (
-        2000.0, 1500.0, 1000.0, 800.0, 700.0, 650.0, 600.0, 500.0, 400.0, 300.0
-    ),
+    limits_kbps: Tuple[float, ...] = LIMITS_KBPS,
     duration_s: float = 20.0,
     seed: int = 0,
 ) -> RateAdaptationResult:
     """Sweep the uplink limit across the cutoff region."""
-    return RateAdaptationResult([
-        measure_at_limit(limit, duration_s, seed) for limit in limits_kbps
-    ])
+    return RateAdaptationResult(
+        run_tasks(sweep_tasks(duration_s, seed, limits_kbps))
+    )

@@ -15,6 +15,7 @@ import numpy as np
 from repro import calibration
 from repro.core.cache import ResultCache
 from repro.core.journal import RunJournal, RunManifest
+from repro.core.parallel import run_tasks
 from repro.experiments import (
     ablations,
     content_delivery,
@@ -31,9 +32,9 @@ from repro.experiments import (
 class ReportSettings:
     """Knobs trading fidelity for runtime — and surviving it.
 
-    ``jobs``/``cache`` pass through to every sweep-capable experiment
-    driver, so the full reproduction shards over worker processes and
-    replays unchanged cells from the on-disk result cache.  The
+    ``jobs``/``cache`` pass through to every sweep the report runs, so
+    the full reproduction shards over worker processes and replays
+    unchanged cells from the on-disk result cache.  The
     crash-safety knobs pass through too: ``cell_timeout`` arms the
     per-cell watchdog, ``max_retries`` bounds transient retries,
     ``journal``/``resume`` checkpoint every finished cell so an
@@ -59,7 +60,7 @@ class ReportSettings:
         return cls(duration_s=8.0, repeats=2)
 
     def sweep_kwargs(self) -> dict:
-        """The runner passthrough shared by every sweep-capable driver."""
+        """The keywords of ``run_tasks`` (and of every sweep driver)."""
         return {
             "jobs": self.jobs,
             "cache": self.cache,
@@ -99,8 +100,13 @@ def table1_section(settings: ReportSettings) -> str:
 
 def protocols_section(settings: ReportSettings) -> str:
     """Sec. 4.1 markdown section."""
+    *matrix, plain, verdicts = run_tasks(
+        protocols.matrix_tasks(settings.seed)
+        + [protocols.plain_2d_task(settings.seed),
+           protocols.anycast_task(settings.seed)],
+        **settings.sweep_kwargs())
     rows = ["| VCA | devices | protocol | P2P |", "|---|---|---|---|"]
-    for obs in protocols.run_protocol_matrix(seed=settings.seed):
+    for obs in matrix:
         rows.append(
             f"| {obs.vca} | {obs.device_mix} | {obs.observed_protocol} "
             f"| {obs.p2p} |"
@@ -108,9 +114,8 @@ def protocols_section(settings: ReportSettings) -> str:
     rows.append("")
     rows.append(
         f"- RTP fallback keeps the 2D-call payload types: "
-        f"**{protocols.facetime_fallback_keeps_2d_payload_type(settings.seed)}**"
+        f"**{protocols.fallback_keeps_2d(matrix, plain)}**"
     )
-    verdicts = protocols.run_anycast_check(seed=settings.seed)
     rows.append(f"- Anycast verdicts: {verdicts} (paper: all unicast)")
     return _section("Sec. 4.1 — protocols, P2P, anycast", rows)
 
@@ -133,9 +138,9 @@ def fig4_section(settings: ReportSettings) -> str:
 
 def content_section(settings: ReportSettings) -> str:
     """Sec. 4.3 content-analysis markdown section."""
-    mesh = content_delivery.run_mesh_streaming(seed=settings.seed)
-    keypoints = content_delivery.run_keypoint_streaming(seed=settings.seed)
-    latency = content_delivery.run_display_latency(seed=settings.seed)
+    mesh, keypoints, latency = run_tasks(
+        content_delivery.hypothesis_tasks(settings.seed),
+        **settings.sweep_kwargs())
     rows = [
         f"- Draco mesh streaming: **{mesh.summary.mean:.1f} ± "
         f"{mesh.summary.std:.1f} Mbps** (paper 107.4 ± 14.1) — ruled out.",
@@ -149,8 +154,9 @@ def content_section(settings: ReportSettings) -> str:
 
 def rate_section(settings: ReportSettings) -> str:
     """Rate-adaptation markdown section."""
-    result = rate_adaptation.run(duration_s=settings.duration_s,
-                                 seed=settings.seed)
+    result = rate_adaptation.RateAdaptationResult(run_tasks(
+        rate_adaptation.sweep_tasks(settings.duration_s, settings.seed),
+        **settings.sweep_kwargs()))
     rows = ["```", result.format_table(), "```", ""]
     rows.append(
         f"Cutoff **{result.cutoff_kbps():.0f} Kbps** (paper: 700); "
@@ -199,8 +205,10 @@ def fig6_section(settings: ReportSettings) -> str:
 
 def ablations_section(settings: ReportSettings) -> str:
     """Ablations markdown section."""
-    a1 = ablations.run_delivery_culling(duration_s=settings.duration_s,
-                                        seed=settings.seed)
+    sweep = settings.sweep_kwargs()
+    a1, plan = run_tasks(
+        [ablations.culling_task(settings.duration_s, settings.seed),
+         ablations.layer_selection_task(settings.seed)], **sweep)
     rows = [
         f"- **A1** delivery-side culling: {a1.baseline_mbps:.2f} → "
         f"{a1.culled_mbps:.2f} Mbps ({a1.savings_fraction:.0%} saved).",
@@ -216,8 +224,9 @@ def ablations_section(settings: ReportSettings) -> str:
         f"- **A3** occlusion-aware rendering: {a3.spread_triangles:,} → "
         f"{a3.line_triangles:,} triangles."
     )
-    a4 = ablations.run_layered_codec(duration_s=settings.duration_s / 2,
-                                     seed=settings.seed)
+    a4 = ablations.layered_result(plan, run_tasks(
+        ablations.layered_tasks(plan, settings.duration_s / 2,
+                                settings.seed), **sweep))
     rows.append(
         f"- **A4** layered semantic codec: available down to "
         f"{a4.cutoff_kbps():.0f} Kbps (FaceTime: 700 Kbps cliff)."

@@ -26,7 +26,9 @@ from repro.core.journal import STATUS_RESUMED, RunJournal
 from repro.core.parallel import CellTask, TaskRunner
 
 #: Two VCAs, one user count: four fast cells with distinct records.
-GRID = dict(vcas=("Zoom", "Webex"), user_counts=(2,), duration_s=2.0,
+#: Three seconds is the shortest session with a throughput window (and
+#: the shortest ``campaign --duration``).
+GRID = dict(vcas=("Zoom", "Webex"), user_counts=(2,), duration_s=3.0,
             repeats=2)
 
 
@@ -39,6 +41,8 @@ def golden_csv(tmp_path_factory) -> bytes:
     """The undisturbed serial cold run every chaos path must reproduce."""
     campaign = _campaign()
     campaign.run(jobs=1)
+    assert all(r.uplink_mbps_mean > 0 and r.downlink_mbps_mean > 0
+               for r in campaign.records)
     path = tmp_path_factory.mktemp("golden") / "golden.csv"
     campaign.to_csv(path)
     return path.read_bytes()
@@ -274,7 +278,7 @@ def _cli_cmd(csv_path: Path, journal: Path, jobs: int,
              resume: bool = False) -> list:
     cmd = [sys.executable, "-m", "repro", "campaign",
            "--vcas", "Zoom", "Webex", "--users", "2",
-           "--duration", "2", "--repeats", "2", "--seed", "11",
+           "--duration", "3", "--repeats", "2", "--seed", "11",
            "--jobs", str(jobs), "--no-cache",
            "--journal", str(journal), "--csv", str(csv_path)]
     if resume:

@@ -6,6 +6,8 @@ run (a NaN watchdog deadline killing every worker, a traceback from
 stats layer) or be silently changed (``resilience --duration 5`` ran
 10 s).  Now argparse rejects them with exit status 2 and a message that
 names the limit, and the runner classes refuse a NaN deadline too.
+``report``/``reproduce --quick`` used to drop ``--seed``, ``--duration``
+and ``--repeats`` silently; now it takes the seed and refuses the rest.
 """
 
 from __future__ import annotations
@@ -19,9 +21,11 @@ from repro.analysis.throughput import (
     SKIP_HEAD_S,
     WINDOW_S,
 )
+import repro.report
 from repro.cli import build_parser, main
 from repro.core.dist import Coordinator, WorkerAgent
 from repro.core.parallel import TaskRunner
+from repro.report import ReportSettings
 
 
 def _rejected(argv, capsys) -> str:
@@ -88,6 +92,7 @@ class TestDurations:
         (["resilience", "--duration", "5"], 10.0),
         (["campaign", "--duration", "0"], None),
         (["table1", "--duration", "nan"], None),
+        (["campaign", "--duration", "2"], MIN_WINDOWED_SESSION_S),
     ])
     def test_short_durations_rejected_with_the_minimum(self, argv, minimum,
                                                        capsys):
@@ -105,3 +110,47 @@ class TestDurations:
         shortest = f"{2 * MIN_WINDOWED_SESSION_S:g}"
         assert main(["fig6", "--duration", shortest, "--repeats", "1"]) == 0
         assert "users" in capsys.readouterr().out
+
+
+class TestQuickReport:
+    """``--quick`` fixes duration and repeats and takes the seed."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The settings each report would have been built with."""
+        settings = []
+
+        def capture(report_settings):
+            settings.append(report_settings)
+            return ""
+
+        monkeypatch.setattr(repro.report, "generate_report", capture)
+        return settings
+
+    @pytest.mark.parametrize("command", ["report", "reproduce"])
+    @pytest.mark.parametrize("seed", [None, 7])
+    def test_quick_takes_the_seed(self, command, seed, built, capsys):
+        argv = [command, "--quick"]
+        if command == "reproduce":
+            argv.append("--no-cache")
+        if seed is not None:
+            argv += ["--seed", str(seed)]
+        assert main(argv) == 0
+        quick = ReportSettings.quick()
+        assert quick.seed == 0
+        assert [(s.seed, s.duration_s, s.repeats) for s in built] == [
+            (seed or 0, quick.duration_s, quick.repeats)]
+
+    @pytest.mark.parametrize("command", ["report", "reproduce"])
+    @pytest.mark.parametrize("flag,value", [("--duration", "10"),
+                                            ("--repeats", "3")])
+    def test_explicit_duration_or_repeats_refused(self, command, flag,
+                                                  value, built, capsys):
+        for argv in ([command, "--quick", flag, value],
+                     [command, flag, value, "--quick"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert flag in err and "--quick" in err
+        assert built == []

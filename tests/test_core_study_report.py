@@ -2,7 +2,9 @@
 
 The report is the repo's deliverable: every section, generated once
 serially and once through the sharded/cached path, must be the same
-string, and the CLI must write it to disk unchanged.
+string, and the CLI must write it to disk unchanged.  A replay from a
+filled cache runs no cell, simulator or frame encoder, so every cell
+result must come back from the cache exactly as it was computed.
 """
 
 from __future__ import annotations
@@ -11,6 +13,14 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.core.cache import ResultCache
+from repro.core.journal import STATUS_CACHED, RunManifest
+from repro.core.parallel import CellTask
+from repro.geo.servers import ALL_FLEETS
+from repro.keypoints.codec import SemanticCodec
+from repro.keypoints.layered import LayeredSemanticCodec
+from repro.mesh.codec import DracoLikeCodec
+from repro.netsim.batch import BatchSimulator
+from repro.netsim.engine import Simulator
 from repro.report import ReportSettings, generate_report
 
 #: Smallest settings every section tolerates (fig6's network half runs at
@@ -31,9 +41,42 @@ _SECTIONS = (
 )
 
 
+#: Sections whose cells the experiment modules declare next to their
+#: drivers (the others go through their drivers' own sweeps).
+_CELL_SECTIONS = {"protocols", "content", "rate", "ablations"}
+
+#: What a replay from a filled cache must never call.
+_RECOMPUTE = (
+    (CellTask, "execute"), (Simulator, "run"), (BatchSimulator, "run"),
+    (SemanticCodec, "encode"), (LayeredSemanticCodec, "encode"),
+    (DracoLikeCodec, "encode"),
+)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a cache replay recomputed a result")
+
+
 @pytest.fixture(scope="module")
-def serial_report() -> str:
-    return generate_report(ReportSettings(**_SETTINGS))
+def serial_run():
+    """The serial report, and each cell it executed with its result."""
+    executed = []
+    execute = CellTask.execute
+
+    def recording(task):
+        result = execute(task)
+        executed.append((task, result))
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(CellTask, "execute", recording)
+        report = generate_report(ReportSettings(**_SETTINGS))
+    return report, executed
+
+
+@pytest.fixture(scope="module")
+def serial_report(serial_run) -> str:
+    return serial_run[0]
 
 
 class TestReport:
@@ -46,12 +89,15 @@ class TestReport:
         assert quick.duration_s < ReportSettings().duration_s
         assert quick.jobs == 1 and quick.cache is None
 
-    def test_sharded_cached_report_identical(self, serial_report, tmp_path):
+    def test_sharded_cached_report_identical(self, serial_report, tmp_path,
+                                             monkeypatch):
         cold = generate_report(ReportSettings(
             **_SETTINGS, jobs=2, cache=ResultCache(tmp_path)
         ))
         assert cold == serial_report
-        # Replay: the sweep-backed sections come straight off disk.
+        # Replay: every section comes straight off disk.
+        for owner, name in _RECOMPUTE:
+            monkeypatch.setattr(owner, name, _refuse)
         replay_cache = ResultCache(tmp_path)
         warm = generate_report(ReportSettings(
             **_SETTINGS, jobs=1, cache=replay_cache
@@ -59,6 +105,30 @@ class TestReport:
         assert warm == serial_report
         assert replay_cache.stats.hits > 0
         assert replay_cache.stats.misses == 0
+        manifest = RunManifest()
+        generate_report(ReportSettings(**_SETTINGS, cache=replay_cache,
+                                       manifest=manifest))
+        assert {cell.status for cell in manifest.cells} == {STATUS_CACHED}
+        assert _CELL_SECTIONS <= {cell.name.split("/")[0]
+                                  for cell in manifest.cells}
+
+    def test_cell_results_round_trip_through_the_cache(self, serial_run,
+                                                       tmp_path):
+        """The cache writes JSON with sorted keys: a mapping, tuple or
+        ``Layer`` that a codec does not pack comes back changed."""
+        cache = ResultCache(tmp_path)
+        replayed = {}
+        for task, result in serial_run[1]:
+            if task.name.split("/")[0] not in _CELL_SECTIONS:
+                continue
+            cache.put(task.cache_key(), task.pack(result) if task.pack
+                      else result)
+            payload = cache.get(task.cache_key())
+            back = task.unpack(payload) if task.unpack else payload
+            assert back == result and repr(back) == repr(result), task.name
+            replayed[task.name] = back
+        assert _CELL_SECTIONS == {name.split("/")[0] for name in replayed}
+        assert list(replayed["protocols/anycast"]) == list(ALL_FLEETS)
 
 
 class TestCli:
