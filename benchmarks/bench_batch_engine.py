@@ -9,15 +9,15 @@ two ways:
   packet (the event-driven oracle);
 * **batched**: one :class:`repro.netsim.batch.BatchSimulator` hosting
   every session as a lane, one ``schedule_cohort`` event per tick that
-  advances *all* lanes with numpy, then the vectorized service kernels
-  (:func:`~repro.netsim.batch.fifo_departures`,
-  :func:`~repro.netsim.batch.windowed_lane_bytes`) for departures and
-  throughput windows.
+  advances *all* lanes with numpy, then the vectorized service kernel
+  :func:`~repro.netsim.batch.fifo_departures` for departures.
 
-Before timing anything the two paths are checked against each other:
-per-lane departure times must agree within 1e-9 s (the documented fp
-tolerance of the Lindley prefix-max) and per-(lane, window) byte totals
-must match exactly.
+Both paths window each lane's departures with the package's one window
+kernel, :func:`~repro.netsim.capture.window_mbps`.  Before timing
+anything the two paths are checked against each other: per-lane
+departure times must agree within 1e-9 s (the documented fp tolerance of
+the Lindley prefix-max) and per-lane throughput windows must match
+exactly.
 
 Reported "events/sec" counts *logical media events* — packet
 transmissions simulated per wall-clock second — which both paths
@@ -41,11 +41,8 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.netsim.batch import (
-    BatchSimulator,
-    fifo_departures,
-    windowed_lane_bytes,
-)
+from repro.netsim.batch import BatchSimulator, fifo_departures
+from repro.netsim.capture import window_mbps
 from repro.netsim.engine import Simulator
 from repro.netsim.link import Link
 from repro.netsim.packet import IPPROTO_UDP, Packet
@@ -105,19 +102,15 @@ def run_scalar(n: int, duration_s: float) -> Dict[str, object]:
         engine_events += sim.events_fired
     elapsed = time.perf_counter() - t_start
 
-    n_windows = int((duration_s - SKIP_HEAD_S) / WINDOW_S)
-    windows = np.zeros((n, n_windows))
-    for lane, records in enumerate(dep_by_lane):
-        for ts, wire in records:
-            idx = int((ts - SKIP_HEAD_S) / WINDOW_S)
-            if ts >= SKIP_HEAD_S and idx < n_windows:
-                windows[lane, idx] += wire
+    departures = [np.array([t for t, _w in rec]) for rec in dep_by_lane]
+    windows = [window_mbps(dep, np.array([w for _t, w in rec]), WINDOW_S,
+                           SKIP_HEAD_S)
+               for dep, rec in zip(departures, dep_by_lane)]
     return {
         "elapsed": elapsed,
         "packets": packets,
         "engine_events": engine_events,
-        "departures": [np.array([t for t, _w in rec])
-                       for rec in dep_by_lane],
+        "departures": departures,
         "windows": windows,
     }
 
@@ -151,21 +144,12 @@ def run_batched(n: int, duration_s: float) -> Dict[str, object]:
     n_ticks = wires.shape[0]
     flat_wires = wires.reshape(n_ticks * BURST, n)
     dep_by_lane: List[np.ndarray] = []
-    all_dep: List[np.ndarray] = []
-    all_lane: List[np.ndarray] = []
-    all_wire: List[np.ndarray] = []
+    windows: List[List[float]] = []
     for lane in range(n):
         w = flat_wires[:, lane]
         dep = fifo_departures(times, w * (8.0 / RATE_BPS))
         dep_by_lane.append(dep)
-        all_dep.append(dep)
-        all_lane.append(np.full(len(dep), lane, dtype=np.int64))
-        all_wire.append(w)
-    n_windows = int((duration_s - SKIP_HEAD_S) / WINDOW_S)
-    windows = windowed_lane_bytes(
-        np.concatenate(all_dep), np.concatenate(all_lane),
-        np.concatenate(all_wire), n, SKIP_HEAD_S, WINDOW_S, n_windows,
-    )
+        windows.append(window_mbps(dep, w, WINDOW_S, SKIP_HEAD_S))
     elapsed = time.perf_counter() - t_start
     return {
         "elapsed": elapsed,
@@ -189,7 +173,7 @@ def check_equivalence(scalar: Dict[str, object],
         assert len(s) == len(b), f"lane {lane}: {len(s)} vs {len(b)}"
         err = float(np.max(np.abs(s - b))) if len(s) else 0.0
         assert err < 1e-9, f"lane {lane}: departure mismatch {err}"
-    assert np.array_equal(scalar["windows"], batched["windows"])
+    assert scalar["windows"] == batched["windows"]
 
 
 def bench_cohort(n: int, duration_s: float) -> Dict[str, float]:

@@ -70,8 +70,8 @@ def segment_bursts(records: Sequence[CapturedPacket],
     frames at 30-90 FPS are >= 11 ms apart, so a few milliseconds of gap
     cleanly separates them.
     """
-    if gap_s <= 0:
-        raise ValueError("gap must be positive")
+    if not gap_s > 0:
+        raise ValueError(f"gap_s must be positive, got {gap_s!r}")
     bursts: List[Burst] = []
     start = end = None
     packets = 0

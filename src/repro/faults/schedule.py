@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -117,10 +118,10 @@ class FaultEvent:
     magnitude: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.start_s < 0:
-            raise ValueError(f"fault cannot start before t=0 ({self.start_s})")
-        if self.duration_s <= 0:
-            raise ValueError(f"fault duration must be positive ({self.duration_s})")
+        if not 0 <= self.start_s < math.inf:
+            raise ValueError(f"fault start {self.start_s} not in [0, inf)")
+        if not 0 < self.duration_s < math.inf:
+            raise ValueError(f"fault duration {self.duration_s} not in (0, inf)")
         low, high = _MAGNITUDE_BOUNDS[self.kind]
         if not low <= self.magnitude <= high:
             raise ValueError(

@@ -113,8 +113,8 @@ class LatencyBudget(ServerSelectionPolicy):
     name = "latency-budget"
 
     def __init__(self, budget_ms: float = 120.0) -> None:
-        if budget_ms <= 0:
-            raise ValueError("budget_ms must be positive")
+        if not budget_ms > 0:
+            raise ValueError(f"budget_ms must be positive, got {budget_ms!r}")
         self.budget_ms = budget_ms
 
     def assign(self, ctx: AssignmentContext) -> np.ndarray:

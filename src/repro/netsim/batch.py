@@ -33,10 +33,7 @@ advance whole cohorts without per-packet Python callbacks:
 * :func:`fifo_departures` — fully vectorized Lindley recurrence for
   uncontended/work-conserving FIFOs (documented fp tolerance: the
   prefix-max association differs from the sequential recurrence by a
-  few ulps when the queue is busy);
-* :func:`windowed_lane_bytes` — per-(lane, window) byte totals in one
-  ``np.bincount``, the axis-wise reduction behind cohort throughput
-  windows.
+  few ulps when the queue is busy).
 """
 
 from __future__ import annotations
@@ -489,34 +486,3 @@ def fifo_departures(
     idle = run_max == slack  # link idle at arrival: keep arr + ser exact
     dep[idle] = arr[idle] + ser[idle]
     return dep
-
-
-def windowed_lane_bytes(
-    timestamps: np.ndarray,
-    lanes: np.ndarray,
-    wire_bytes: np.ndarray,
-    n_lanes: int,
-    t0: float,
-    window_s: float,
-    n_windows: int,
-) -> np.ndarray:
-    """Per-(lane, window) byte totals in one axis-wise reduction.
-
-    Records before ``t0`` or beyond the last window are ignored — the
-    same head-skip semantics as
-    :func:`repro.analysis.throughput.throughput_windows_mbps`.
-    """
-    if window_s <= 0:
-        raise ValueError("window must be positive")
-    if n_windows < 1 or n_lanes < 1:
-        return np.zeros((max(n_lanes, 0), max(n_windows, 0)))
-    ts = np.asarray(timestamps, dtype=np.float64)
-    lane_arr = np.asarray(lanes, dtype=np.int64)
-    weights = np.asarray(wire_bytes, dtype=np.float64)
-    rel = ts - t0
-    idx = (rel / window_s).astype(np.int64)
-    valid = (rel >= 0) & (idx < n_windows)
-    flat = lane_arr[valid] * n_windows + idx[valid]
-    sums = np.bincount(flat, weights=weights[valid],
-                       minlength=n_lanes * n_windows)
-    return sums.reshape(n_lanes, n_windows)

@@ -38,9 +38,10 @@ def _unpack_address(blob: bytes) -> str:
 def save_trace(capture: PacketCapture, path: PathLike) -> None:
     """Write a capture to ``path``."""
     out = bytearray()
-    out += _FILE_HEADER.pack(_MAGIC, _VERSION, len(capture.records))
+    records = capture.records
+    out += _FILE_HEADER.pack(_MAGIC, _VERSION, len(records))
     out += _pack_address(capture.host_address)
-    for rec in capture.records:
+    for rec in records:
         snap = rec.snap[:255]
         out += _RECORD.pack(
             rec.timestamp,
@@ -88,7 +89,7 @@ def load_trace(path: PathLike) -> PacketCapture:
             raise ValueError("truncated snap bytes")
         snap = data[offset:offset + snap_len]
         offset += snap_len
-        capture.records.append(CapturedPacket(
+        capture.append(CapturedPacket(
             timestamp=timestamp,
             direction=Direction.UPLINK if up else Direction.DOWNLINK,
             wire_bytes=wire,

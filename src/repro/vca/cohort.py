@@ -57,6 +57,7 @@ from repro.netsim.batch import (
     drop_tail_departures,
     fifo_departures,
 )
+from repro.netsim.capture import window_mbps
 from repro.netsim.packet import IPV4_HEADER_BYTES, UDP_HEADER_BYTES
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -326,9 +327,9 @@ def sfu_cohort_downlink(
             the session does (``seed * 1000 + index``).
         observers: User indices whose downlink windows to compute
             (default: up to 4 users spread over the cohort).
-        window_s / skip_head_s: Throughput-window parameters, same
-            semantics as :func:`repro.analysis.throughput.
-            throughput_windows_mbps`.
+        window_s / skip_head_s: Throughput-window parameters of
+            :func:`repro.netsim.capture.window_mbps`, the kernel behind
+            :func:`repro.analysis.throughput.throughput_windows_mbps`.
         pool_library: Exact per-user frame pools to build before
             cycling (cost: one LZMA pool per entry).
         playout_delay_ms: Fixed jitter-buffer delay used for the
@@ -517,31 +518,19 @@ def sfu_cohort_downlink(
             raise IndexError(f"observer {obs} out of range for n={n}")
         if local[obs] < 0:
             # Refused at admission: the SFU never sends toward this user.
-            observer_windows[obs] = []
-            observer_late[obs] = 0.0
-            continue
-        position = rank[local[obs]] - (src_rank < rank[local[obs]])
-        mine = src_in != obs
-        got = mine & (position < k_arr)
-        dep_copy = start_arr[got] + (position[got] + 1) * ser_in[got]
-        t_arrive = dep_copy + down_delay[obs]
-        if len(t_arrive) == 0:
-            observer_windows[obs] = []
-            observer_late[obs] = 0.0
-            continue
-        t0 = float(t_arrive.min()) + skip_head_s
-        t_end = float(t_arrive.max())
-        n_windows = int((t_end - t0) / window_s) if t_end > t0 else 0
-        if n_windows < 1:
-            observer_windows[obs] = []
+            t_arrive = wire_got = np.empty(0)
         else:
-            rel = t_arrive - t0
-            idx = (rel / window_s).astype(np.int64)
-            valid = (rel >= 0) & (idx < n_windows)
-            weights = wire_in[got].astype(np.float64)[valid]
-            sums = np.bincount(idx[valid], weights=weights,
-                               minlength=n_windows)
-            observer_windows[obs] = list(sums * 8.0 / window_s / 1e6)
+            position = rank[local[obs]] - (src_rank < rank[local[obs]])
+            got = (src_in != obs) & (position < k_arr)
+            # Copies leave the SFU in ingress order: arrivals are sorted.
+            dep_copy = start_arr[got] + (position[got] + 1) * ser_in[got]
+            t_arrive = dep_copy + down_delay[obs]
+            wire_got = wire_in[got]
+        observer_windows[obs] = window_mbps(t_arrive, wire_got, window_s,
+                                            skip_head_s)
+        if len(t_arrive) == 0:
+            observer_late[obs] = 0.0
+            continue
         report = JitterBuffer(playout_delay_ms).play_batch(
             send_in[got], t_arrive,
             np.zeros(len(t_arrive), dtype=np.int64), 1,

@@ -46,11 +46,8 @@ class DynamicSessionResult:
         """Observer downlink throughput over [start, end)."""
         if end_s <= start_s:
             raise ValueError("empty interval")
-        total = sum(
-            r.wire_bytes
-            for r in self.observer_capture.filter(direction=Direction.DOWNLINK)
-            if start_s <= r.timestamp < end_s
-        )
+        times, wire = self.observer_capture.series(Direction.DOWNLINK)
+        total = int(wire[(start_s <= times) & (times < end_s)].sum())
         return total * 8.0 / (end_s - start_s) / 1e6
 
 

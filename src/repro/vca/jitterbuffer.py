@@ -43,8 +43,8 @@ class JitterBuffer:
     """
 
     def __init__(self, playout_delay_ms: float) -> None:
-        if playout_delay_ms < 0:
-            raise ValueError("playout delay cannot be negative")
+        if not playout_delay_ms >= 0:
+            raise ValueError(f"playout delay must be >= 0: {playout_delay_ms}")
         self.playout_delay_ms = playout_delay_ms
 
     def play(self, timestamps: Sequence[Tuple[float, float]]) -> PlayoutReport:

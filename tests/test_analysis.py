@@ -45,12 +45,14 @@ class TestSummaryStats:
 
 
 def synthetic_capture(host="10.0.0.2", peer="10.0.9.9", pps=100,
-                      size=125, seconds=10.0):
-    """A capture with perfectly regular uplink traffic."""
+                      size=125, seconds=10.0, head=()):
+    """A capture with perfectly regular uplink traffic after ``head``."""
     cap = PacketCapture(host)
+    for record in head:
+        cap.append(record)
     n = int(pps * seconds)
     for i in range(n):
-        cap.records.append(CapturedPacket(
+        cap.append(CapturedPacket(
             timestamp=i / pps,
             direction=Direction.UPLINK,
             wire_bytes=size,
@@ -69,13 +71,12 @@ class TestThroughputWindows:
             assert w == pytest.approx(0.1, rel=0.02)
 
     def test_head_skipped(self):
-        cap = synthetic_capture(seconds=5)
         # A burst before the skip threshold must not pollute window 0.
-        cap.records.insert(0, CapturedPacket(
+        cap = synthetic_capture(seconds=5, head=[CapturedPacket(
             timestamp=0.0, direction=Direction.UPLINK, wire_bytes=10**6,
             src="10.0.0.2", dst="10.0.9.9", src_port=1, dst_port=2,
             protocol=IPPROTO_UDP, snap=b"",
-        ))
+        )])
         windows = throughput_windows_mbps(cap, Direction.UPLINK)
         assert max(windows) < 1.0
 

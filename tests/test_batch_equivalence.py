@@ -11,8 +11,11 @@ Every test here holds the two execution paths together:
   ``multi_user_testbed`` oracle at the paper's user counts;
 * the numpy service kernels and batched analysis paths must match their
   scalar counterparts (exactly where the arithmetic is exact, within the
-  documented few-ulp tolerance where prefix reductions reassociate
-  float additions).
+  documented few-ulp tolerance where prefix reductions reassociate float
+  additions).
+
+The window kernel every throughput window goes through is also held to a
+per-record loop, on random captures, in ``test_capture_columns.py``.
 """
 
 import numpy as np
@@ -29,9 +32,8 @@ from repro.netsim.batch import (
     BatchSimulator,
     drop_tail_departures,
     fifo_departures,
-    windowed_lane_bytes,
 )
-from repro.netsim.capture import Direction
+from repro.netsim.capture import Direction, window_mbps
 from repro.netsim.engine import Simulator
 from repro.netsim.link import Link
 from repro.netsim.packet import IPPROTO_UDP, Packet
@@ -327,20 +329,24 @@ class TestKernelsVsScalarLink:
 
     def test_windowed_lane_bytes_matches_scalar_loop(self):
         rng = np.random.default_rng(3)
-        n_lanes, n_windows = 4, 5
-        ts = rng.uniform(0.0, 7.0, size=300)
+        n_lanes, window_s, skip_head_s = 4, 1.0, 1.0
+        ts = np.sort(rng.uniform(0.0, 7.0, size=300))
         lanes = rng.integers(0, n_lanes, size=300)
         wires = rng.integers(64, 1500, size=300)
-        got = windowed_lane_bytes(ts, lanes, wires, n_lanes, 1.0, 1.0,
-                                  n_windows)
-        want = np.zeros((n_lanes, n_windows))
-        for t, lane, w in zip(ts, lanes, wires):
-            if t < 1.0:
-                continue
-            idx = int((t - 1.0) / 1.0)
-            if idx < n_windows:
-                want[lane, idx] += w
-        assert np.array_equal(got, want)
+        for lane in range(n_lanes):
+            lane_ts, lane_wires = ts[lanes == lane], wires[lanes == lane]
+            got = window_mbps(lane_ts, lane_wires, window_s, skip_head_s)
+            start = lane_ts[0] + skip_head_s
+            n_windows = int((lane_ts[-1] - start) / window_s)
+            want = np.zeros(n_windows)
+            for t, w in zip(lane_ts, lane_wires):
+                if t < start:
+                    continue
+                idx = int((t - start) / window_s)
+                if idx < n_windows:
+                    want[idx] += w
+            assert n_windows >= 1
+            assert got == list(want * 8.0 / window_s / 1e6), lane
 
 
 class TestJitterBufferBatch:

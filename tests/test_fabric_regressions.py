@@ -7,8 +7,8 @@ The forwarding path (``Network``/``Link``/``TrafficShaper``/
   crossing, AP downlink), plus one for each shaper on its path;
 * ``Packet.wire_bytes`` is IP + transport header + payload, fixed at
   construction (copies included) and outside ``==`` and ``repr``;
-* ``PacketCapture.observe`` builds frozen, slotted records equal field
-  for field to keyword-built ones.
+* a capture's records, built from its columns, are frozen and slotted
+  and equal field for field to keyword-built ones.
 
 The bit-exactness of ``Link.transmit`` against the vectorized
 ``drop_tail_departures`` kernel is a hypothesis test in
@@ -29,7 +29,7 @@ Each regression below fails on the code before its fix:
 3. **Finished calls' captures outlived their cell** — a call's capture
    records stayed alive as cyclic garbage until a full collection, so a
    campaign's peak memory held several calls.  The scenario cell now
-   frees them when its record is built.
+   clears its captures when its record is built.
 """
 
 from __future__ import annotations
@@ -154,14 +154,14 @@ def test_observed_records_equal_keyword_built_ones():
     capture.observe(0.25, up)
     capture.observe(0.5, down)
     capture.observe(0.75, elsewhere)
-    expected = [
+    expected = tuple(
         CapturedPacket(timestamp=t, direction=direction,
                        wire_bytes=p.wire_bytes, src=p.src, dst=p.dst,
                        src_port=p.src_port, dst_port=p.dst_port,
                        protocol=p.protocol, snap=p.payload[:SNAP_BYTES])
         for t, direction, p in ((0.25, Direction.UPLINK, up),
                                 (0.5, Direction.DOWNLINK, down))
-    ]
+    )
     assert capture.records == expected
     for got, want in zip(capture.records, expected):
         for field in dataclasses.fields(CapturedPacket):
@@ -271,11 +271,13 @@ def test_finished_call_frees_its_capture_records():
     gc.collect()
     gc.disable()
     try:
-        before = [o for o in gc.get_objects() if type(o) is CapturedPacket]
-        known = set(map(id, before))
+        known = {id(o) for o in gc.get_objects() if type(o) is PacketCapture}
         run_scenario_cell(spec)
-        leaked = [o for o in gc.get_objects()
-                  if type(o) is CapturedPacket and id(o) not in known]
+        # The finished call is uncollected garbage here; its captures
+        # must hold no records.
+        captures = [o for o in gc.get_objects()
+                    if type(o) is PacketCapture and id(o) not in known]
     finally:
         gc.enable()
-    assert len(leaked) == 0
+    assert len(captures) == 3
+    assert [c.records for c in captures] == [()] * 3

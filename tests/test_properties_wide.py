@@ -52,7 +52,8 @@ class TestTraceProperties:
         from pathlib import Path
 
         capture = PacketCapture(host)
-        capture.records.extend(records)
+        for record in records:
+            capture.append(record)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "t.rptr"
             save_trace(capture, path)
