@@ -2,12 +2,13 @@
 
 Two gates, both asserted before anything is reported:
 
-* **faults-disabled overhead**: attaching the deferred
-  :class:`~repro.faults.cohort.CohortInjector` to a cohort and sealing
-  it with *zero* fault events must cost < 2% wall clock against the
-  plain PR 7 cohort engine (min-of-N interleaved runs, so scheduler
-  noise cancels).  The fault layer is pay-for-what-you-break: a cohort
-  that schedules nothing must run at baseline speed.
+* **faults-disabled overhead**: attaching a
+  :class:`~repro.faults.cohort.CohortInjector` to a cohort, which seals
+  it with *zero* fault events when the timed run starts, must cost < 2%
+  wall clock against the plain cohort engine (min-of-N interleaved
+  runs, so scheduler noise cancels).  The fault layer is
+  pay-for-what-you-break: a cohort that schedules nothing must run at
+  baseline speed.
 * **vectorized fan-out**: :func:`~repro.faults.domains.
   impairment_timeline` (one ``np.ix_`` window per domain event) must
   clear 10x the per-(event, tick, lane) scalar oracle
@@ -64,26 +65,24 @@ def _cohort_run_s(with_injector: bool, n_lanes: int,
                   duration_s: float) -> float:
     """One cohort run's wall clock, with or without the fault layer."""
     from repro.core.testbed import default_two_user_testbed
-    from repro.experiments.gauntlet import lane_seed
+    from repro.experiments.resilience import lane_seed
     from repro.faults.cohort import CohortInjector
     from repro.vca.cohort import CohortRunner
     from repro.vca.profiles import PROFILES
 
     profile = PROFILES["FaceTime"]
     runner = CohortRunner()
-    injector = None
-    if with_injector:
-        injector = CohortInjector.of(runner.batch, deferred=True)
+    injector = CohortInjector.of(runner.batch) if with_injector else None
     for lane in range(n_lanes):
         testbed = default_two_user_testbed()
         runner.add(lambda sim, lane=lane, testbed=testbed: testbed.session(
             profile, seed=lane_seed(0, lane), sim=sim))
-    if injector is not None:
-        injector.seal()
-        assert injector.cohort_events_armed == 0  # faults disabled
     t_start = time.perf_counter()
-    runner.run(duration_s)
-    return time.perf_counter() - t_start
+    runner.run(duration_s)  # seals the injector before the first event
+    elapsed = time.perf_counter() - t_start
+    if injector is not None:
+        assert injector.sealed and injector.cohort_events_armed == 0
+    return elapsed
 
 
 def bench_overhead(n_lanes: int, duration_s: float, repeats: int) -> dict:

@@ -30,13 +30,22 @@ def _checked(convert: Callable[[str], Any], ok: Callable[[Any], bool],
     return parse
 
 
-_count = _checked(int, lambda n: n >= 0, "must be >= 0")
+def _at_least(minimum: int) -> Callable[[str], int]:
+    """An int argparse type refusing values below ``minimum``."""
+    return _checked(int, lambda n: n >= minimum, f"must be >= {minimum}")
+
+
+_count = _at_least(0)
+_finite = _checked(float, math.isfinite, "must be a finite number")
+_positive = _checked(float, lambda x: math.isfinite(x) and x > 0,
+                     "must be a finite number > 0")
 _seconds = _checked(float, lambda x: math.isfinite(x) and x > 0,
                     "must be a finite number of seconds > 0")
 
 
 def _min_duration(command: str) -> Optional[Tuple[float, str]]:
-    """The shortest --duration of one subcommand, and why (None: any).
+    """The shortest value of a subcommand's duration flag, and why (None:
+    any).
 
     Imported here, not at module level: the analysis and fault packages
     take about a second to import, which ``--help`` and ``repro worker``
@@ -52,6 +61,7 @@ def _min_duration(command: str) -> Optional[Tuple[float, str]]:
     return {
         "fig4": windowed,
         "campaign": windowed,
+        "fig6 --cohort-duration": windowed,
         "fig6": fig6_half,
         "report": fig6_half,
         "reproduce": fig6_half,
@@ -61,7 +71,7 @@ def _min_duration(command: str) -> Optional[Tuple[float, str]]:
 
 
 def _duration(command: str) -> Callable[[str], float]:
-    """The --duration type of one subcommand (see ``_min_duration``)."""
+    """The type of one duration flag (see ``_min_duration``)."""
     def parse(text: str) -> float:
         value = _seconds(text)
         limit = _min_duration(command)
@@ -94,13 +104,53 @@ class _Given(argparse.Action):
             self.option_strings[0],)
 
 
+#: The common flags each result subcommand reads, where not all three;
+#: it refuses the others (exit 2).
+_READS = {
+    "table1": "seed repeats", "rate": "seed duration",
+    "ablations": "seed duration", "resilience": "seed duration",
+    "protocols": "seed", "content": "seed", "fig5": "seed",
+    "placement": "seed", "gauntlet": "seed", "scenarios": "seed",
+    "validate": "",
+}
+
+
 def _add_common(parser: argparse.ArgumentParser, command: str) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="master seed")
-    parser.add_argument("--duration", type=_duration(command), default=20.0,
-                        action=_Given, help="session seconds per run")
-    parser.add_argument("--repeats", type=int,
-                        default=calibration.MIN_REPEATS, action=_Given,
-                        help="independent repeats per experiment")
+    """Add the common flags ``command`` reads (see ``_READS``)."""
+    flags = {
+        "seed": dict(type=int, default=0, help="master seed"),
+        "duration": dict(type=_duration(command), default=20.0,
+                         action=_Given, help="session seconds per run"),
+        "repeats": dict(type=int, default=calibration.MIN_REPEATS,
+                        action=_Given,
+                        help="independent repeats per experiment"),
+    }
+    for name in _READS.get(command, "seed duration repeats").split():
+        parser.add_argument(f"--{name}", **flags[name])
+
+
+#: Flags more than one subcommand takes, declared once; each subcommand
+#: gives its own default through ``_add_shared``.
+_SHARED = {
+    "--csv": dict(metavar="PATH", help="export the records to this CSV"),
+    "--policies": dict(nargs="+", action=_NameList, metavar="NAME",
+                       help="selection policies to sweep, space- or "
+                            "comma-separated (default: all registered)"),
+    "--regions": dict(type=_at_least(1), metavar="N",
+                      help="limit demand to the N most populous world "
+                           "regions"),
+    "--session-size": dict(type=_at_least(2),
+                           help="participants per telepresence session"),
+    "--site-step": dict(type=_positive, metavar="DEG",
+                        help="global candidate-lattice spacing, degrees"),
+}
+
+
+def _add_shared(parser: argparse.ArgumentParser, **defaults: Any) -> None:
+    """Add shared flags by dest name (``site_step=4.0``), with defaults."""
+    for dest, default in defaults.items():
+        flag = "--" + dest.replace("_", "-")
+        parser.add_argument(flag, default=default, **_SHARED[flag])
 
 
 def _add_sweep(parser: argparse.ArgumentParser) -> None:
@@ -300,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="VCA profiles to sweep")
             p.add_argument("--users", nargs="+", type=int, default=[2, 3],
                            help="user counts to sweep")
-            p.add_argument("--csv", help="export records to this path")
+            _add_shared(p, csv=None)
             p.add_argument("--distributed", action="store_true",
                            help="publish cells to a shared store and let "
                                 "'repro worker' processes execute them "
@@ -314,15 +364,16 @@ def build_parser() -> argparse.ArgumentParser:
                                 "before the coordinator executes cells "
                                 "itself")
         if name == "fig6":
-            p.add_argument("--fanouts", nargs="*", type=int, default=[],
-                           metavar="N",
+            p.add_argument("--fanouts", nargs="*", type=_at_least(2),
+                           default=[], metavar="N",
                            help="also run the batched SFU cohort what-if "
                                 "at these fan-outs (e.g. 50 200 500), "
                                 "using the vectorized cohort engine")
-            p.add_argument("--cohort-duration", type=float, default=12.0,
-                           metavar="SECONDS",
+            p.add_argument("--cohort-duration",
+                           type=_duration("fig6 --cohort-duration"),
+                           default=12.0, metavar="SECONDS",
                            help="simulated seconds per cohort fan-out")
-            p.add_argument("--server-gbps", type=float, default=10.0,
+            p.add_argument("--server-gbps", type=_positive, default=10.0,
                            help="SFU NIC rate assumed for the what-if "
                                 "(the 0.3 Gbps testbed AP saturates at "
                                 "n ~ 22)")
@@ -330,30 +381,17 @@ def build_parser() -> argparse.ArgumentParser:
                            help="skip the paper panels and run only the "
                                 "batched cohort what-if")
         if name == "placement":
-            p.add_argument("--users", type=int, default=100_000,
+            p.add_argument("--users", type=_at_least(2), default=100_000,
                            help="sampled users per cell (split across the "
                                 "UTC epochs)")
-            p.add_argument("--regions", type=int, default=None,
-                           metavar="N",
-                           help="limit demand to the N most populous world "
-                                "regions (default: all)")
-            p.add_argument("--policies", nargs="+", action=_NameList,
-                           default=None, metavar="NAME",
-                           help="selection policies to sweep, space- or "
-                                "comma-separated (default: all registered)")
-            p.add_argument("--k-range", nargs="+", type=int,
+            p.add_argument("--k-range", nargs="+", type=_at_least(1),
                            default=[2, 4, 8], metavar="K",
                            help="server counts to optimize placements for")
-            p.add_argument("--epochs", nargs="+", type=float,
+            p.add_argument("--epochs", nargs="+", type=_finite,
                            default=[2.0, 8.0, 14.0, 20.0], metavar="H",
                            help="UTC hours to sample demand at")
-            p.add_argument("--session-size", type=int, default=3,
-                           help="participants per telepresence session")
-            p.add_argument("--site-step", type=float, default=4.0,
-                           metavar="DEG",
-                           help="global candidate-lattice spacing, degrees")
-            p.add_argument("--csv", help="export per-cell records to this "
-                                         "path")
+            _add_shared(p, policies=None, regions=None, session_size=3,
+                        site_step=4.0, csv=None)
         if name == "gauntlet":
             p.add_argument("--scenarios", nargs="+", action=_NameList,
                            default=["region-outage", "mixed"],
@@ -362,34 +400,22 @@ def build_parser() -> argparse.ArgumentParser:
                                 "or comma-separated (catalog: "
                                 "region-outage ap-storm brownout "
                                 "flash-crowd mixed none)")
-            p.add_argument("--policies", nargs="+", action=_NameList,
-                           default=None, metavar="NAME",
-                           help="selection policies to sweep, space- or "
-                                "comma-separated (default: all registered)")
-            p.add_argument("--fleet-sizes", nargs="+", type=int,
+            p.add_argument("--fleet-sizes", nargs="+", type=_at_least(1),
                            default=[50, 200], metavar="N",
                            help="sessions per cell")
-            p.add_argument("--gauntlet-duration", type=float, default=120.0,
-                           metavar="SECONDS",
+            p.add_argument("--gauntlet-duration", type=_seconds,
+                           default=120.0, metavar="SECONDS",
                            help="campaign seconds per cell")
-            p.add_argument("--tick", type=float, default=1.0,
+            p.add_argument("--tick", type=_seconds, default=1.0,
                            metavar="SECONDS",
                            help="fleet timeline resolution")
-            p.add_argument("--k", type=int, default=6,
+            p.add_argument("--k", type=_at_least(1), default=6,
                            help="servers in the optimized placement")
-            p.add_argument("--regions", type=int, default=12, metavar="N",
-                           help="limit demand to the N most populous world "
-                                "regions")
-            p.add_argument("--session-size", type=int, default=3,
-                           help="participants per telepresence session")
-            p.add_argument("--capacity-factor", type=float, default=1.2,
+            p.add_argument("--capacity-factor", type=_positive, default=1.2,
                            help="per-server admission capacity as a "
                                 "multiple of the even-split load")
-            p.add_argument("--site-step", type=float, default=8.0,
-                           metavar="DEG",
-                           help="global candidate-lattice spacing, degrees")
-            p.add_argument("--csv", help="export per-cell records to this "
-                                         "path")
+            _add_shared(p, policies=None, regions=12, session_size=3,
+                        site_step=8.0, csv=None)
         if name == "scenarios":
             p.add_argument("action", choices=("generate", "describe", "run"),
                            help="generate: emit the spec batch as JSONL; "
@@ -412,8 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--spec-file", metavar="PATH",
                            help="run specs from this JSONL file instead of "
                                 "generating them")
-            p.add_argument("--csv", help="export per-scenario records to "
-                                         "this path")
+            _add_shared(p, csv=None)
         if name in ("campaign", "resilience", "reproduce", "placement",
                     "gauntlet", "scenarios"):
             _add_sweep(p)

@@ -20,10 +20,11 @@ Two engines, one campaign surface:
   placement delay-factor objective;
 * the **cohort engine** (:func:`run_cohort`) drives full
   :class:`~repro.vca.session.TelepresenceSession` objects on the batch
-  simulator with :class:`~repro.faults.cohort.CohortInjector` arming a
-  whole cohort's fault schedules in grouped cohort events.  A cohort of
-  one with the ``standard`` scenario reproduces the scalar resilience
-  path byte for byte (``tests/test_gauntlet.py`` ``cmp``'s the CSVs).
+  simulator through the resilience study's ``run_sessions`` and row, with
+  :class:`~repro.faults.cohort.CohortInjector` arming a whole cohort's
+  fault schedules in grouped cohort events.  A cohort of one with the
+  ``standard`` scenario reproduces a scalar session byte for byte
+  (``tests/test_gauntlet.py`` ``cmp``'s the CSVs).
 
 Every (scenario, policy, fleet-size) cell is one :class:`CellTask` on
 the shared campaign runner — parallel, cached, resumable, and
@@ -45,16 +46,16 @@ import numpy as np
 from repro.core.cache import ResultCache
 from repro.core.journal import RunJournal, RunManifest
 from repro.core.parallel import CellTask, run_tasks
+from repro.experiments.resilience import VICTIM, ResilienceRow, run_sessions
 from repro.faults.domains import (
+    STANDARD_SCENARIO,
     DomainPlan,
     build_plan,
     impairment_timeline,
-    lane_schedules,
     scenario_names,
+    scenario_schedules,
     server_down_timeline,
 )
-from repro.faults.resilient import ResilienceConfig
-from repro.faults.schedule import derive_seed, standard_disturbance
 from repro.geo.coords import latlon_arrays
 from repro.geo.demand import DemandModel
 from repro.geo.latency import PathModel
@@ -63,15 +64,6 @@ from repro.geo.policy import get_policy, policy_names, AssignmentContext
 from repro.geo.servers import failover_assignment, shed_overload
 from repro.obs import metrics as obs_metrics
 from repro.vca.qoe import delay_factor_arrays
-
-#: Victim / observer roles of the cohort engine's two-user sessions —
-#: the same roles the scalar resilience study uses.
-VICTIM = "U2"
-OBSERVER = "U1"
-
-#: The cohort engine's extra scenario: the scripted five-fault
-#: disturbance of the scalar resilience study, one copy per lane.
-STANDARD_SCENARIO = "standard"
 
 #: Default fleet sizes (sessions per cell) swept by :func:`run`.
 DEFAULT_FLEET_SIZES: Tuple[int, ...] = (50, 200)
@@ -89,12 +81,6 @@ def _world_seed(seed: int, scenario: str, n_sessions: int) -> int:
         f"gauntlet-{seed}-{scenario}-{n_sessions}".encode()
     ).digest()
     return int.from_bytes(digest[:4], "little")
-
-
-def lane_seed(seed: int, lane: int) -> int:
-    """Per-lane session seed: lane 0 keeps ``seed`` verbatim (scalar
-    anchoring), lane ``i > 0`` derives an independent stream."""
-    return seed if lane == 0 else derive_seed(seed, "lane", lane)
 
 
 # ----------------------------------------------------------------------
@@ -168,7 +154,6 @@ def evaluate_fleet_cell(
     regions: Optional[int] = 12,
     session_size: int = 3,
     capacity_factor: float = 1.2,
-    backbone_speedup: float = 2.0,
     site_step_deg: float = 8.0,
     t_utc_h: float = 14.0,
 ) -> Dict[str, object]:
@@ -183,14 +168,13 @@ def evaluate_fleet_cell(
     assignment for member 0); per-relay refinements of multi-relay
     policies stay with the placement study.
     """
-    del backbone_speedup  # sessions collapse to the initiator relay here
     if scenario not in scenario_names():
         raise KeyError(
             f"unknown scenario {scenario!r} (known: {scenario_names()})")
     if n_sessions < 1:
         raise ValueError("need at least one session")
-    if tick_s <= 0 or duration_s <= 0:
-        raise ValueError("duration and tick must be positive")
+    if not (0 < tick_s < np.inf and 0 < duration_s < np.inf):
+        raise ValueError("duration and tick must be finite and positive")
     world_seed = _world_seed(seed, scenario, n_sessions)
     demand = DemandModel.default(max_regions=regions)
     model = PathModel()
@@ -318,130 +302,36 @@ def run_cohort(
     seed: int = 0,
     scenario: str = STANDARD_SCENARIO,
     regions: int = 3,
-    config: Optional[ResilienceConfig] = None,
 ) -> List[Dict[str, object]]:
     """Run ``n_lanes`` full sessions through one fault scenario, batched.
 
     Every lane hosts an unmodified two-user session of ``profile_name``
-    on one shared :class:`~repro.netsim.batch.BatchSimulator`; the
-    deferred :class:`~repro.faults.cohort.CohortInjector` arms all fault
-    schedules at once, grouping identical domain events across lanes
-    into single cohort apply/revert pairs.
+    on one shared :class:`~repro.netsim.batch.BatchSimulator`
+    (:func:`~repro.experiments.resilience.run_sessions`); the
+    :class:`~repro.faults.cohort.CohortInjector` arms all fault
+    schedules when the cohort runs, grouping identical domain events
+    across lanes into single cohort apply/revert pairs.
 
     Scenarios: :data:`STANDARD_SCENARIO` gives every lane the scalar
     study's scripted five-fault disturbance (lane 0 with the verbatim
     base seed — the cohort-of-1 ``cmp`` anchor); any
     :mod:`~repro.faults.domains` scenario assigns lanes round-robin to
     ``regions`` demand regions and realizes the sampled domain plan as
-    per-lane schedules.
+    per-lane schedules.  Each row's :data:`LANE_FIELDS` past ``lane``
+    are read off the lane's :class:`~repro.experiments.resilience.
+    ResilienceRow`.
     """
-    from repro.core.testbed import default_two_user_testbed
-    from repro.faults.cohort import CohortInjector
-    from repro.vca.cohort import CohortRunner
-    from repro.vca.profiles import PROFILES
-
     if n_lanes < 1:
         raise ValueError("need at least one lane")
-    profile = PROFILES[profile_name]
-    if scenario == STANDARD_SCENARIO:
-        schedules = [standard_disturbance(duration_s, victim=VICTIM)
-                     for _ in range(n_lanes)]
-    else:
-        lane_regions = np.arange(n_lanes) % max(1, regions)
-        plan = build_plan(scenario, seed, duration_s, lane_regions,
-                          n_regions=max(1, regions))
-        schedules = lane_schedules(plan, VICTIM)
-
-    runner = CohortRunner()
-    injector = CohortInjector.of(runner.batch, deferred=True)
-    for lane in range(n_lanes):
-        testbed = default_two_user_testbed()
-        runner.add(
-            lambda sim, lane=lane: testbed.session(
-                profile, seed=lane_seed(seed, lane),
-                faults=schedules[lane],
-                resilience=config or ResilienceConfig(),
-                sim=sim,
-            )
-        )
-    injector.seal()
-    results = runner.run(duration_s)
-
-    rows: List[Dict[str, object]] = []
-    for lane, result in enumerate(results):
-        resilience = result.resilience
-        if resilience is not None:
-            report = resilience.report(OBSERVER, VICTIM)
-            occupancy = resilience.ladders[VICTIM].occupancy_fractions(
-                duration_s)
-            from repro.faults.ladder import LadderLevel
-            row = {
-                "mos_mean": report.mos_mean,
-                "total_stall_s": report.total_stall_s,
-                "mean_ttr_s": report.mean_ttr_s,
-                "max_ttr_s": report.max_ttr_s,
-                "failovers": resilience.reconnects,
-                "top_rung_fraction": occupancy.get(
-                    LadderLevel.TEXTURED_MESH, 0.0),
-                "audio_only_fraction": occupancy.get(
-                    LadderLevel.AUDIO_ONLY, 0.0),
-                "recovered": report.all_recovered,
-            }
-        else:
-            # An uncovered lane (no faults scheduled): vacuously healthy.
-            row = {"mos_mean": 0.0, "total_stall_s": 0.0,
-                   "mean_ttr_s": 0.0, "max_ttr_s": 0.0, "failovers": 0,
-                   "top_rung_fraction": 1.0, "audio_only_fraction": 0.0,
-                   "recovered": True}
-        rows.append({
-            "lane": lane,
-            "profile": profile_name,
-            "persona": result.persona_kind.value,
-            "p2p": result.p2p,
-            **row,
-        })
-    return rows
-
-
-def scalar_lane_row(
-    profile_name: str,
-    duration_s: float = 30.0,
-    seed: int = 0,
-    config: Optional[ResilienceConfig] = None,
-) -> Dict[str, object]:
-    """Lane 0's row computed by the *scalar* resilience path.
-
-    The ``cmp`` reference of the acceptance criterion: a cohort-of-1
-    ``standard`` gauntlet CSV must equal this row's CSV byte for byte.
-    """
-    from repro.experiments import resilience as resilience_study
-
-    row, _ = resilience_study.run_profile(
-        profile_name, duration_s=duration_s, seed=seed, config=config)
-    return {
-        "lane": 0,
-        "profile": profile_name,
-        "persona": row.persona,
-        "p2p": row.p2p,
-        "mos_mean": row.mos_mean,
-        "total_stall_s": row.total_stall_s,
-        "mean_ttr_s": row.mean_ttr_s,
-        "max_ttr_s": row.max_ttr_s,
-        "failovers": row.failovers,
-        "top_rung_fraction": row.top_rung_fraction,
-        "audio_only_fraction": row.audio_only_fraction,
-        "recovered": row.recovered,
-    }
-
-
-def lane_rows_to_csv(rows: Sequence[Dict[str, object]],
-                     path: Union[str, Path]) -> None:
-    """Write cohort lane rows with the shared column order."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(LANE_FIELDS)
-        for row in rows:
-            writer.writerow([row[field] for field in LANE_FIELDS])
+    n_regions = max(1, regions)
+    schedules = scenario_schedules(
+        scenario, seed, duration_s, np.arange(n_lanes) % n_regions,
+        n_regions, VICTIM)
+    rows = [ResilienceRow.of(result) for result
+            in run_sessions(profile_name, schedules, duration_s, seed)]
+    return [{"lane": lane, **{field: getattr(row, field)
+                              for field in LANE_FIELDS[1:]}}
+            for lane, row in enumerate(rows)]
 
 
 # ----------------------------------------------------------------------

@@ -16,8 +16,9 @@ how gracefully each one degrades and how fast it recovers:
 - **failovers** — relay reconnects (P2P profiles skip the server outage
   by construction: there is no relay to lose).
 
-Two runs with the same seed produce identical studies — the whole fault
-path is deterministic.
+Each call runs on a one-lane cohort (:func:`run_sessions`, shared with
+the gauntlet's cohort engine), equal to the call on the scalar engine.
+Two runs with the same seed produce identical studies.
 """
 
 from __future__ import annotations
@@ -33,11 +34,16 @@ from repro.core.journal import RunJournal, RunManifest
 from repro.core.parallel import CellTask, run_tasks
 from repro.core.testbed import default_two_user_testbed
 from repro.faults.ladder import LadderLevel
-from repro.faults.metrics import ResilienceReport
 from repro.faults.resilient import ResilienceConfig, SessionResilience
-from repro.faults.schedule import standard_disturbance
+from repro.faults.schedule import (
+    FaultSchedule,
+    derive_seed,
+    standard_disturbance,
+)
+from repro.vca.cohort import CohortRunner
 from repro.vca.profiles import PROFILES
 from repro.vca.qoe import QoeVector, frame_rate_factor, quality_factor
+from repro.vca.session import SessionResult
 
 from repro import calibration
 
@@ -70,6 +76,26 @@ class ResilienceRow:
     def audio_only_fraction(self) -> float:
         """Fraction of the call spent at the bottom rung."""
         return self.occupancy.get(LadderLevel.AUDIO_ONLY, 0.0)
+
+    @classmethod
+    def of(cls, result: SessionResult) -> "ResilienceRow":
+        """The row of one finished session: :data:`OBSERVER` watching
+        :data:`VICTIM`, who took the faults."""
+        resilience = result.resilience
+        report = resilience.report(OBSERVER, VICTIM)
+        return cls(
+            profile=result.profile.name,
+            persona=result.persona_kind.value,
+            p2p=result.p2p,
+            mos_mean=report.mos_mean,
+            total_stall_s=report.total_stall_s,
+            mean_ttr_s=report.mean_ttr_s,
+            max_ttr_s=report.max_ttr_s,
+            failovers=resilience.reconnects,
+            occupancy=resilience.ladders[VICTIM].occupancy_fractions(
+                result.duration_s),
+            recovered=report.all_recovered,
+        )
 
     def qoe_vector(self, duration_s: float) -> QoeVector:
         """The row's observables on the multi-dimensional QoE axes.
@@ -139,42 +165,51 @@ class ResilienceStudyResult:
         return "\n".join(lines)
 
 
-def run_profile(
+def lane_seed(seed: int, lane: int) -> int:
+    """Per-lane session seed: lane 0 keeps ``seed`` verbatim (scalar
+    anchoring), lane ``i > 0`` derives an independent stream."""
+    return seed if lane == 0 else derive_seed(seed, "lane", lane)
+
+
+def run_sessions(
     profile_name: str,
-    duration_s: float = 30.0,
-    seed: int = 0,
-    config: Optional[ResilienceConfig] = None,
-) -> Tuple[ResilienceRow, SessionResilience]:
-    """Run one profile through the standard disturbance.
+    schedules: Sequence[FaultSchedule],
+    duration_s: float,
+    seed: int,
+) -> List[SessionResult]:
+    """One resilient two-user session of ``profile_name`` per schedule.
+
+    Each runs on its own lane of one cohort, seeded ``lane_seed(seed,
+    i)``; lanes share no state, so each result equals its session run
+    alone, and lane 0 is the scalar session of ``seed``.
 
     Raises:
         KeyError: For an unknown profile name.
     """
     profile = PROFILES[profile_name]
-    testbed = default_two_user_testbed()
-    session = testbed.session(
-        profile, seed=seed,
-        faults=standard_disturbance(duration_s, victim=VICTIM),
-        resilience=config or ResilienceConfig(),
-    )
-    result = session.run(duration_s)
-    resilience = result.resilience
-    assert resilience is not None  # faults were given, so the runtime ran
-    report: ResilienceReport = resilience.report(OBSERVER, VICTIM)
-    ladder = resilience.ladders[VICTIM]
-    row = ResilienceRow(
-        profile=profile_name,
-        persona=result.persona_kind.value,
-        p2p=result.p2p,
-        mos_mean=report.mos_mean,
-        total_stall_s=report.total_stall_s,
-        mean_ttr_s=report.mean_ttr_s,
-        max_ttr_s=report.max_ttr_s,
-        failovers=resilience.reconnects,
-        occupancy=ladder.occupancy_fractions(duration_s),
-        recovered=report.all_recovered,
-    )
-    return row, resilience
+    runner = CohortRunner()
+    for lane, schedule in enumerate(schedules):
+        testbed = default_two_user_testbed()
+        runner.add(lambda sim: testbed.session(
+            profile, seed=lane_seed(seed, lane), faults=schedule,
+            resilience=ResilienceConfig(), sim=sim))
+    return runner.run(duration_s)
+
+
+def run_profile(
+    profile_name: str,
+    duration_s: float = 30.0,
+    seed: int = 0,
+) -> Tuple[ResilienceRow, SessionResilience]:
+    """Run one profile through the standard disturbance (a one-lane cohort).
+
+    Raises:
+        KeyError: For an unknown profile name.
+    """
+    (result,) = run_sessions(
+        profile_name, [standard_disturbance(duration_s, victim=VICTIM)],
+        duration_s, seed)
+    return ResilienceRow.of(result), result.resilience
 
 
 def _pack_outcome(
@@ -215,7 +250,6 @@ def run(
     profiles: Sequence[str] = ("FaceTime", "Zoom", "Webex", "Teams"),
     duration_s: float = 30.0,
     seed: int = 0,
-    config: Optional[ResilienceConfig] = None,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
     timeout: Optional[float] = None,
@@ -238,7 +272,7 @@ def run(
             name=f"resilience/{name}",
             fn=run_profile,
             kwargs={"profile_name": name, "duration_s": duration_s,
-                    "seed": seed, "config": config},
+                    "seed": seed},
             pack=_pack_outcome,
             unpack=_unpack_outcome,
         )

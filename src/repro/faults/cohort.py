@@ -8,7 +8,9 @@ instant.  Arming each lane independently would schedule ``lanes x events``
 apply callbacks plus as many reverts; the :class:`CohortInjector` instead
 groups identical events across lanes and schedules **one cohort event per
 group edge** (`schedule_cohort`), so a fault covering 200 lanes costs two
-engine events, not 400.
+engine events, not 400.  Every lane arms this way: ``FaultInjector.arm()``
+on a lane enrolls here, and the injector seals when its batch starts
+running (``BatchSimulator.on_run_start``), however the lane is run.
 
 Bit-identity is the contract, not an aspiration:
 
@@ -17,16 +19,15 @@ Bit-identity is the contract, not an aspiration:
   :meth:`~repro.faults.injector.FaultInjector.revert_event` code and the
   shared :func:`~repro.faults.injector.combine_impairment` arithmetic the
   scalar path uses;
-- grouped applies fire at the event's exact onset with a sequence number
-  below any runtime-scheduled media event at the same timestamp (arming
-  happens before ``run``), matching the scalar arming order;
+- grouped applies fire at the event's exact onset, scheduled at the top
+  of ``run``: at a shared timestamp they follow the events sessions
+  scheduled while being built and precede every later one;
 - the grouped revert is scheduled *when the apply fires* — the scalar
   injector's semantics — at ``now + duration_s``, which equals ``end_s``
   bit-for-bit because the apply fired at exactly ``start_s``.
 
-``tests/test_gauntlet.py`` proves scalar-armed and cohort-armed runs
-byte-identical, and the golden differential suite keeps the cohort-of-1
-anchored to the scalar engine.
+``tests/test_gauntlet.py`` holds grouped lanes equal to independent
+scalar sessions.
 """
 
 from __future__ import annotations
@@ -42,90 +43,66 @@ from repro.obs import metrics as obs_metrics
 class CohortInjector:
     """Arms the fault schedules of a whole cohort on one batch engine.
 
-    Two arming modes:
-
-    - **eager** (default): :meth:`enroll` arms the lane immediately,
-      event by event — exactly what ``FaultInjector.arm()`` used to do on
-      a lane view.  This is the compatibility path
-      :class:`~repro.faults.resilient.ResilienceRuntime` takes when a
-      session is built on a lane outside a gauntlet.
-    - **deferred**: created with ``CohortInjector.of(batch,
-      deferred=True)`` *before* sessions are built; :meth:`enroll` only
-      registers, and :meth:`seal` arms everything at once with identical
-      events grouped across lanes into single cohort apply/revert pairs.
-
-    One injector per batch: :meth:`of` stores the instance on the batch
-    object, so every lane of a cohort enrolls into the same grouping.
+    Lanes :meth:`enroll` while their sessions are built; :meth:`seal`,
+    which runs when the batch next starts running, arms everything at
+    once with identical events grouped across lanes into single cohort
+    apply/revert pairs.  One injector per batch: :meth:`of` stores the
+    instance on the batch object, so every lane of a cohort enrolls into
+    the same grouping.
     """
 
     _ATTR = "_repro_cohort_injector"
 
-    def __init__(self, batch: BatchSimulator, deferred: bool = False) -> None:
+    def __init__(self, batch: BatchSimulator) -> None:
         self.batch = batch
-        self.deferred = deferred
         self.sealed = False
         self._injectors: Dict[int, FaultInjector] = {}
-        self._pending: List[Tuple[int, FaultInjector]] = []
         #: Engine events this injector armed (applies only; reverts are
-        #: scheduled at apply time).  With grouping this is the number of
-        #: distinct events, not lanes x events.
+        #: scheduled at apply time): the number of distinct events, not
+        #: lanes x events.
         self.cohort_events_armed = 0
         #: Total (lane, event) pairs covered — the scalar-equivalent count.
         self.lane_events_covered = 0
+        batch.on_run_start.append(self.seal)
 
     @classmethod
-    def of(cls, batch: BatchSimulator,
-           deferred: bool = False) -> "CohortInjector":
-        """The batch's cohort injector, created on first use.
-
-        ``deferred`` only matters at creation; call this before building
-        sessions to put the whole cohort into grouped-arming mode.
-        """
+    def of(cls, batch: BatchSimulator) -> "CohortInjector":
+        """The batch's cohort injector, created on first use."""
         existing = getattr(batch, cls._ATTR, None)
         if existing is not None:
             return existing
-        injector = cls(batch, deferred=deferred)
+        injector = cls(batch)
         setattr(batch, cls._ATTR, injector)
         return injector
 
     def enroll(self, lane: LaneSimulator, injector: FaultInjector) -> None:
-        """Register one lane's scalar injector (arming now or at seal)."""
+        """Register one lane's scalar injector; it arms at :meth:`seal`.
+
+        Raises:
+            RuntimeError: Once the batch has started running: a lane
+                enrolled then would silently miss its faults.
+        """
         if not isinstance(lane, LaneSimulator) or lane.batch is not self.batch:
             raise ValueError("enroll takes a lane of this injector's batch")
         if self.sealed:
             raise RuntimeError("cohort injector already sealed")
-        index = lane.lane_index
-        self._injectors[index] = injector
-        if self.deferred:
-            self._pending.append((index, injector))
-        else:
-            self._arm_lane(index, injector)
-
-    def _arm_lane(self, lane: int, injector: FaultInjector) -> None:
-        """Per-lane arming, bit-identical to the old lane ``arm()`` path."""
-        for event in injector.schedule:
-            self.batch.schedule_at(
-                lane, event.start_s,
-                lambda e=event, i=injector: i.apply_event(e))
-            self.cohort_events_armed += 1
-            self.lane_events_covered += 1
+        self._injectors[lane.lane_index] = injector
 
     def seal(self) -> None:
-        """Arm every deferred lane, grouping identical events across lanes.
+        """Arm every enrolled lane, grouping identical events across lanes.
 
         Grouping key is the (frozen, hashable) :class:`FaultEvent` itself:
         domain fan-out hands every covered lane the same event object
         values, so one regional outage over 200 lanes becomes one cohort
         apply.  Groups keep first-seen order, which preserves each lane's
         schedule order for the homogeneous schedules domain plans emit.
+        Sealing twice is a no-op.
         """
-        if not self.deferred:
-            return
         if self.sealed:
-            raise RuntimeError("cohort injector already sealed")
+            return
         self.sealed = True
         groups: Dict[FaultEvent, List[int]] = {}
-        for lane, injector in self._pending:
+        for lane, injector in self._injectors.items():
             for event in injector.schedule:
                 groups.setdefault(event, []).append(lane)
         for event, lanes in groups.items():
@@ -134,7 +111,6 @@ class CohortInjector:
                 lambda e=event, ls=tuple(lanes): self._apply_group(e, ls))
             self.cohort_events_armed += 1
             self.lane_events_covered += len(lanes)
-        self._pending.clear()
         obs_metrics.counter("faults.cohort.sealed").inc()
         obs_metrics.counter("faults.cohort.groups").inc(len(groups))
 

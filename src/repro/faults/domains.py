@@ -31,7 +31,9 @@ Two consumers:
   per-lane scalar :class:`~repro.faults.schedule.FaultSchedule` objects
   (region outage → server outage, AP storm → WiFi degradation, brownout
   → jitter burst), armed in one cohort event per domain edge by
-  :class:`~repro.faults.cohort.CohortInjector`;
+  :class:`~repro.faults.cohort.CohortInjector`.
+  :func:`scenario_schedules` wraps it as the one scenario-to-schedules
+  step of the gauntlet's cohort engine and the scenario compiler;
 - the **fleet engine**: :func:`impairment_timeline` and
   :func:`server_down_timeline` expand a plan into per-(tick, lane) /
   per-(tick, server) arrays with a handful of array ops per event — the
@@ -53,6 +55,7 @@ from repro.faults.schedule import (
     FaultKind,
     FaultSchedule,
     derive_seed,
+    standard_disturbance,
 )
 
 
@@ -91,6 +94,9 @@ SCENARIOS: Dict[str, Tuple[DomainKind, ...]] = {
     "mixed": tuple(DomainKind),
     "none": (),
 }
+
+#: The resilience study's scripted disturbance, beside the catalog.
+STANDARD_SCENARIO = "standard"
 
 
 def scenario_names() -> Tuple[str, ...]:
@@ -284,6 +290,25 @@ def lane_schedules(plan: DomainPlan, victim: str) -> List[FaultSchedule]:
     return [FaultSchedule.scripted(events) for events in per_lane]
 
 
+def scenario_schedules(scenario: str, seed: int, duration_s: float,
+                       lane_regions: Sequence[int], n_regions: int,
+                       victim: str) -> List[FaultSchedule]:
+    """Each lane's fault schedule under one named scenario.
+
+    :data:`STANDARD_SCENARIO` gives every lane the scripted
+    :func:`~repro.faults.schedule.standard_disturbance`; a catalog
+    scenario samples one plan over the lanes' regions (out of
+    ``n_regions``) and realizes it with :func:`lane_schedules` (``none``
+    yields empty schedules).
+    """
+    if scenario == STANDARD_SCENARIO:
+        return [standard_disturbance(duration_s, victim)
+                for _ in lane_regions]
+    plan = build_plan(scenario, seed, duration_s, np.asarray(lane_regions),
+                      n_regions=n_regions)
+    return lane_schedules(plan, victim)
+
+
 # ----------------------------------------------------------------------
 # Projection onto the fleet engine (per-tick impairment arrays)
 # ----------------------------------------------------------------------
@@ -397,6 +422,7 @@ def server_down_timeline(events: Sequence[DomainEvent],
 
 __all__ = [
     "SCENARIOS",
+    "STANDARD_SCENARIO",
     "DomainEvent",
     "DomainImpairments",
     "DomainKind",
@@ -408,5 +434,6 @@ __all__ = [
     "lane_schedules",
     "sample_domain_events",
     "scenario_names",
+    "scenario_schedules",
     "server_down_timeline",
 ]

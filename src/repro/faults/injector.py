@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set
 
+from repro.netsim.batch import LaneSimulator
 from repro.netsim.engine import Simulator
 from repro.netsim.network import LinkFault, Network
 from repro.obs import metrics as obs_metrics
@@ -126,26 +127,20 @@ class FaultInjector:
     # ------------------------------------------------------------------
 
     def arm(self) -> None:
-        """Schedule every event's apply/revert on the simulator.
+        """Schedule every event's apply/revert on the session's engine.
 
-        Raises:
-            TypeError: If ``sim`` is a batch engine (``BatchSimulator`` /
-                ``LaneSimulator``).  Their 3-argument / lane-scoped
-                scheduling surface would fail deep inside the event loop;
-                batch cohorts arm through
-                :class:`repro.faults.cohort.CohortInjector` instead.
+        On a batch lane the injector enrolls in the batch's
+        :class:`~repro.faults.cohort.CohortInjector` instead, which arms
+        every lane's events, grouped, when the batch starts running.
         """
-        from repro.netsim.batch import BatchSimulator, LaneSimulator
+        if isinstance(self.sim, LaneSimulator):
+            from repro.faults.cohort import CohortInjector
 
-        if isinstance(self.sim, (BatchSimulator, LaneSimulator)):
-            raise TypeError(
-                f"FaultInjector.arm() cannot arm a "
-                f"{type(self.sim).__name__}: batch engines take faults "
-                f"through repro.faults.cohort.CohortInjector "
-                f"(enroll each lane's injector, then seal)"
-            )
+            CohortInjector.of(self.sim.batch).enroll(self.sim, self)
+            return
         for event in self.schedule:
-            self.sim.schedule_at(event.start_s, lambda e=event: self._apply(e))
+            self.sim.schedule_at(event.start_s,
+                                 lambda e=event: self.apply_event(e))
 
     # ------------------------------------------------------------------
     # Queries (used by reconnect logic and tests)
@@ -195,7 +190,7 @@ class FaultInjector:
             # server outage keeps afflicting the *old* relay even after a
             # failover.
             self.sim.schedule_at(event.end_s,
-                                 lambda: self._revert(event, address))
+                                 lambda: self.revert_event(event, address))
         return address
 
     def revert_event(self, event: FaultEvent, address: str) -> None:
@@ -207,12 +202,6 @@ class FaultInjector:
         self._recompute(state)
         self.log.append(FaultLogEntry(self.sim.now, "revert", event, address))
         obs_metrics.counter("faults.reverted").inc()
-
-    def _apply(self, event: FaultEvent) -> None:
-        self.apply_event(event)
-
-    def _revert(self, event: FaultEvent, address: str) -> None:
-        self.revert_event(event, address)
 
     def _recompute(self, state: _TargetState) -> None:
         """Re-derive the combined impairment of one attachment."""

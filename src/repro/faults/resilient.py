@@ -26,7 +26,6 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
-from repro.faults.cohort import CohortInjector
 from repro.faults.injector import FaultInjector, FaultLogEntry
 from repro.faults.ladder import DegradationLadder, LadderLevel
 from repro.faults.metrics import (
@@ -220,18 +219,7 @@ class ResilienceRuntime:
             ),
             seed=derive_fault_seed(session.seed),
         )
-        from repro.netsim.batch import LaneSimulator
-
-        if isinstance(session.sim, LaneSimulator):
-            # Lane-hosted sessions arm through the batch's cohort
-            # injector: eagerly (bit-identical to scalar arming) unless a
-            # gauntlet created the injector in deferred mode first, in
-            # which case identical events group into single cohort
-            # apply/revert pairs at seal time.
-            CohortInjector.of(session.sim.batch).enroll(
-                session.sim, self.injector)
-        else:
-            self.injector.arm()
+        self.injector.arm()
 
         if self.config.enable_ladder and self.ladders:
             # The first tick waits one interval: at t=0 no packet has
@@ -259,10 +247,7 @@ class ResilienceRuntime:
                 session.server,
                 relay_packets=lambda: sfu.sfu_stats.packets_received,
                 activate=self._activate_server,
-                is_down=lambda address: (
-                    self.injector.is_down(address)
-                    if self.injector is not None else False
-                ),
+                is_down=self.injector.is_down,
                 backoff=self.config.backoff,
                 heartbeat_s=self.config.heartbeat_s,
                 outage_timeout_s=self.config.outage_timeout_s,

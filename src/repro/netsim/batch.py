@@ -97,6 +97,9 @@ class BatchSimulator(EventQueue):
         self._live: List[int] = []
         self._lane_high_water: List[int] = []
         self._lane_probes: Dict[int, Callable[[str, float, EventHandle], Any]] = {}
+        #: Once-only callbacks fired at the top of the next :meth:`run`,
+        #: before any event (the cohort fault injector arms lanes here).
+        self.on_run_start: List[Callable[[], Any]] = []
         for _ in range(n_lanes):
             self.add_lane()
 
@@ -215,7 +218,8 @@ class BatchSimulator(EventQueue):
 
         Semantics mirror :meth:`repro.netsim.engine.Simulator.run`: with
         ``until`` the clock stops there and later events stay queued;
-        without it the queue drains completely.
+        without it the queue drains completely.  The ``on_run_start``
+        callbacks run first, once.
         """
         self._enter_run(until)
         queue = self._queue  # compaction mutates in place, never rebinds
@@ -223,6 +227,10 @@ class BatchSimulator(EventQueue):
         live = self._live
         probes = self._lane_probes
         try:
+            if self.on_run_start:
+                hooks, self.on_run_start = self.on_run_start, []
+                for hook in hooks:
+                    hook()
             while queue:
                 time, _seq, callback, handle = queue[0]
                 if handle._cancelled:

@@ -8,9 +8,10 @@ call realizes one scenario end to end:
 - session topologies (``p2p`` / ``sfu``) build a real
   :class:`~repro.vca.session.TelepresenceSession` on a
   :class:`~repro.vca.cohort.CohortRunner` lane, with churn windows
-  realized as link blackouts, fault attachments projected through the
-  correlated-domain machinery, and cross-traffic storms attached to the
-  declared participants' uplinks;
+  realized as link blackouts, fault attachments turned into a schedule
+  by :func:`~repro.faults.domains.scenario_schedules` (armed, like every
+  lane's, when the cohort runs), and cross-traffic storms attached to
+  the declared participants' uplinks;
 - ``multi-sfu`` dispatches to the vectorized
   :func:`~repro.vca.cohort.sfu_cohort_downlink` fast path.
 
@@ -22,20 +23,18 @@ vantage — the paper's measurement seat.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro import calibration
 from repro.core.testbed import Testbed
-from repro.faults.domains import build_plan, lane_schedules
+from repro.faults.domains import scenario_schedules
 from repro.faults.ladder import LEVEL_QUALITY
 from repro.faults.schedule import (
     FaultEvent,
     FaultKind,
     FaultSchedule,
     derive_seed,
-    standard_disturbance,
 )
 from repro.geo.regions import city
 from repro.netsim.crosstraffic import BulkTransferSource, OnOffBurstSource
@@ -84,17 +83,10 @@ def _scenario_schedule(spec: ScenarioSpec) -> Optional[FaultSchedule]:
     """The merged churn + fault-attachment schedule (None when empty)."""
     events = _churn_events(spec)
     faults = spec.faults
-    victim = _user_id(len(spec.participants) - 1)
-    if faults.scenario == "standard":
-        events.extend(standard_disturbance(spec.duration_s, victim))
-    elif faults.scenario != "none":
-        plan = build_plan(
-            faults.scenario, spec.seed, spec.duration_s,
-            np.array([faults.region_index]), n_regions=faults.n_regions)
-        events.extend(lane_schedules(plan, victim)[0])
-    if not events:
-        return None
-    return FaultSchedule.scripted(events)
+    events.extend(scenario_schedules(
+        faults.scenario, spec.seed, spec.duration_s, [faults.region_index],
+        faults.n_regions, _user_id(len(spec.participants) - 1))[0])
+    return FaultSchedule.scripted(events) if events else None
 
 
 def _attach_storm(spec: ScenarioSpec, session) -> None:
@@ -224,16 +216,9 @@ def _run_session_scenario(spec: ScenarioSpec) -> Dict[str, object]:
     testbed = Testbed(participants)
     schedule = _scenario_schedule(spec)
     runner = CohortRunner()
-    injector = None
-    if schedule is not None:
-        from repro.faults.cohort import CohortInjector
-
-        injector = CohortInjector.of(runner.batch, deferred=True)
     session = runner.add(lambda lane: testbed.session(
         PROFILES[spec.profile], seed=spec.seed, faults=schedule, sim=lane))
     _attach_storm(spec, session)
-    if injector is not None:
-        injector.seal()
     result = runner.run(spec.duration_s)[0]
 
     vectors = _observer_vectors(spec, session, result)

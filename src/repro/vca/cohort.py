@@ -42,6 +42,7 @@ saturate?  Deviations from the session path at scale:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -352,8 +353,10 @@ def sfu_cohort_downlink(
     """
     if n < 2:
         raise ValueError("an SFU cohort needs at least two participants")
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
+    if not 0 < duration_s < math.inf:
+        raise ValueError(f"duration_s must be finite and > 0: {duration_s}")
+    if server_gbps is not None and not 0 < server_gbps < math.inf:
+        raise ValueError(f"server_gbps must be finite and > 0: {server_gbps}")
     if observers is None:
         step = max(1, n // 4)
         observers = tuple(range(n))[::step][:4]

@@ -91,7 +91,7 @@ class TestDurations:
         (["reproduce", "--duration", "4"], 2 * MIN_WINDOWED_SESSION_S),
         (["resilience", "--duration", "5"], 10.0),
         (["campaign", "--duration", "0"], None),
-        (["table1", "--duration", "nan"], None),
+        (["rate", "--duration", "nan"], None),
         (["campaign", "--duration", "2"], MIN_WINDOWED_SESSION_S),
     ])
     def test_short_durations_rejected_with_the_minimum(self, argv, minimum,
@@ -110,6 +110,98 @@ class TestDurations:
         shortest = f"{2 * MIN_WINDOWED_SESSION_S:g}"
         assert main(["fig6", "--duration", shortest, "--repeats", "1"]) == 0
         assert "users" in capsys.readouterr().out
+
+
+class TestFig6CohortFlags:
+    """The cohort what-if's flags fail at parse time, not deep inside
+    ``sfu_cohort_downlink`` (NaN/inf durations, a zero NIC rate, a
+    one-user fan-out) or silently (2 s left no throughput window)."""
+
+    @pytest.mark.parametrize("argv,needle", [
+        (["--cohort-duration", "nan"], "finite"),
+        (["--cohort-duration", "inf"], "finite"),
+        (["--cohort-duration", "2"],
+         f"at least {MIN_WINDOWED_SESSION_S:g} s"),
+        (["--server-gbps", "nan"], "finite"),
+        (["--server-gbps", "inf"], "finite"),
+        (["--server-gbps", "0"], "> 0"),
+        (["--fanouts", "1"], ">= 2"),
+        (["--fanouts", "3", "1"], ">= 2"),
+    ])
+    def test_bad_values_rejected(self, argv, needle, capsys):
+        err = _rejected(["fig6", "--cohort-only", *argv], capsys)
+        assert f"argument {argv[0]}" in err and needle in err
+
+    def test_smallest_cohort_duration_runs(self, capsys):
+        shortest = f"{MIN_WINDOWED_SESSION_S:g}"
+        assert main(["fig6", "--cohort-only", "--fanouts", "3",
+                     "--cohort-duration", shortest]) == 0
+        assert "egress knee" in capsys.readouterr().out
+
+
+class TestGeoSweepFlags:
+    """Placement and gauntlet numbers fail at parse time, not inside
+    numpy (``arange: cannot compute length``) or silently (a NaN
+    capacity factor shed every session)."""
+
+    @pytest.mark.parametrize("argv", [
+        ["gauntlet", "--tick", "nan"],
+        ["gauntlet", "--tick", "0"],
+        ["gauntlet", "--gauntlet-duration", "nan"],
+        ["gauntlet", "--gauntlet-duration", "inf"],
+        ["gauntlet", "--capacity-factor", "nan"],
+        ["gauntlet", "--capacity-factor", "0"],
+        ["gauntlet", "--site-step", "0"],
+        ["gauntlet", "--fleet-sizes", "0"],
+        ["gauntlet", "--k", "0"],
+        ["gauntlet", "--regions", "0"],
+        ["gauntlet", "--session-size", "1"],
+        ["placement", "--site-step", "nan"],
+        ["placement", "--site-step", "0"],
+        ["placement", "--users", "0"],
+        ["placement", "--epochs", "nan"],
+        ["placement", "--epochs", "2", "inf"],
+        ["placement", "--session-size", "0"],
+        ["placement", "--k-range", "2", "0"],
+        ["placement", "--regions", "0"],
+    ])
+    def test_bad_values_rejected(self, argv, capsys):
+        err = _rejected(argv, capsys)
+        assert f"argument {argv[1]}" in err
+
+    def test_shared_flags_keep_each_subcommands_default(self):
+        placement = build_parser().parse_args(["placement"])
+        gauntlet = build_parser().parse_args(["gauntlet"])
+        assert (placement.regions, placement.session_size,
+                placement.site_step) == (None, 3, 4.0)
+        assert (gauntlet.regions, gauntlet.session_size,
+                gauntlet.site_step) == (12, 3, 8.0)
+        for args in (placement, gauntlet):
+            assert args.policies is None and args.csv is None
+
+
+#: (subcommand, common flag it does not read); 19 pairs.
+IGNORED_COMMON_FLAGS = (
+    [("validate", flag) for flag in ("--seed", "--duration", "--repeats")]
+    + [(command, flag)
+       for command in ("protocols", "content", "fig5", "placement",
+                       "gauntlet", "scenarios")
+       for flag in ("--duration", "--repeats")]
+    + [("table1", "--duration")]
+    + [(command, "--repeats")
+       for command in ("rate", "ablations", "resilience")]
+)
+
+
+class TestCommonFlags:
+    """A subcommand refuses the common flags it does not read
+    (``gauntlet --duration 50`` used to run 120 s silently)."""
+
+    @pytest.mark.parametrize("command,flag", IGNORED_COMMON_FLAGS)
+    def test_ignored_flag_refused(self, command, flag, capsys):
+        action = ["run"] if command == "scenarios" else []
+        err = _rejected([command, *action, flag, "12"], capsys)
+        assert f"unrecognized arguments: {flag}" in err
 
 
 class TestQuickReport:

@@ -13,7 +13,8 @@ Covers the gauntlet's sampling layer:
 * fan-out — coverage fractions honored, no lane hit twice by one
   event, region membership respected;
 * the vectorized impairment timeline against its scalar oracle;
-* the :meth:`FaultInjector.arm` batch-engine guard.
+* :meth:`FaultInjector.arm` on a batch lane: armed when the batch runs,
+  equal to the scalar run, and refused once the batch has started.
 """
 
 import numpy as np
@@ -254,21 +255,46 @@ class TestLaneSchedules:
 
 
 class TestInjectorBatchGuard:
-    def test_arm_rejects_lane_simulator(self):
+    def test_bare_lane_session_applies_every_fault(self):
+        """A faulted session on a bare lane, run by ``session.run``, arms
+        through the batch's cohort injector when the lane runs: every
+        fault applies and the call equals the scalar run."""
         from repro.core.testbed import default_two_user_testbed
+        from repro.faults.resilient import ResilienceConfig
+        from repro.faults.schedule import standard_disturbance
         from repro.netsim.batch import BatchSimulator
         from repro.vca.profiles import PROFILES
 
+        def run(sim=None):
+            return default_two_user_testbed().session(
+                PROFILES["FaceTime"], faults=standard_disturbance(10.0),
+                resilience=ResilienceConfig(), sim=sim).run(10.0)
+
+        lane, scalar = run(BatchSimulator().add_lane()), run()
+        log = lane.resilience.fault_log
+        assert [entry.action for entry in log].count("apply") == 5
+        assert log == scalar.resilience.fault_log
+        assert (lane.resilience.report("U1", "U2")
+                == scalar.resilience.report("U1", "U2"))
+        for user in ("U1", "U2"):
+            assert (lane.capture_of(user).records
+                    == scalar.capture_of(user).records)
+
+    def test_arming_after_the_batch_started_running_raises(self):
+        """A late lane fails loudly instead of silently losing its faults."""
+        from repro.netsim.batch import BatchSimulator
+        from repro.netsim.network import Network
+
+        def arm(lane):
+            FaultInjector(lane, Network(lane), FaultSchedule.scripted([]),
+                          address_of={}).arm()
+
         batch = BatchSimulator()
-        lane = batch.add_lane()
-        session = default_two_user_testbed().session(
-            PROFILES["FaceTime"], sim=lane)
-        injector = FaultInjector(
-            lane, session.network,
-            FaultSchedule.scripted([]), address_of={},
-        )
-        with pytest.raises(TypeError, match="CohortInjector"):
-            injector.arm()
+        early, late = batch.add_lane(), batch.add_lane()
+        arm(early)
+        batch.run(until=1.0)
+        with pytest.raises(RuntimeError, match="already sealed"):
+            arm(late)
 
     def test_combine_impairment_matches_scalar_semantics(self):
         from repro.faults.schedule import FaultEvent

@@ -3,30 +3,35 @@
 Covers the acceptance criteria of the gauntlet PR:
 
 - a cohort of one running the ``standard`` scenario writes a CSV that is
-  byte-identical to the scalar resilience path (the ``cmp`` criterion);
-- deferred (grouped) cohort arming is bit-identical to eager per-lane
-  arming, while arming one cohort event per distinct domain event
-  instead of lanes x events;
+  byte-identical to a scalar-engine session's (the ``cmp`` criterion);
+- grouped cohort arming leaves every lane equal to its session run
+  alone on the scalar engine, while arming one cohort event per
+  distinct domain event instead of lanes x events;
 - the server-side defenses (failover re-assignment, QoE-aware load
   shedding, SFU admission control) keep their invariants;
 - the campaign sweep is deterministic, cached, parallel and resumable
   byte for byte, and the CLI subcommand drives it end to end.
 """
 
+import csv
+
 import numpy as np
 import pytest
 
+from repro.core.testbed import default_two_user_testbed
 from repro.experiments import gauntlet
 from repro.experiments.gauntlet import (
+    LANE_FIELDS,
     GauntletResult,
     evaluate_fleet_cell,
-    lane_rows_to_csv,
-    lane_seed,
     run_cohort,
-    scalar_lane_row,
 )
-from repro.faults.schedule import derive_seed
+from repro.experiments.resilience import OBSERVER, VICTIM, lane_seed
+from repro.faults.ladder import LadderLevel
+from repro.faults.resilient import ResilienceConfig
+from repro.faults.schedule import derive_seed, standard_disturbance
 from repro.geo.servers import failover_assignment, shed_overload
+from repro.vca.profiles import PROFILES
 
 # Small-but-real fleet settings: coarse lattice, short campaign.
 FAST = dict(seed=0, duration_s=60.0, tick_s=1.0, k=4, regions=8,
@@ -34,6 +39,47 @@ FAST = dict(seed=0, duration_s=60.0, tick_s=1.0, k=4, regions=8,
 SWEEP = dict(seed=0, duration_s=60.0, tick_s=1.0, k=4, regions=8,
              session_size=2, site_step_deg=12.0)
 POLICIES = ["initiator-nearest", "load-aware"]
+
+
+def scalar_session(profile_name, seed, duration_s, faults):
+    """One two-user resilient session run on its own scalar engine."""
+    session = default_two_user_testbed().session(
+        PROFILES[profile_name], seed=seed, faults=faults,
+        resilience=ResilienceConfig())
+    return session.run(duration_s)
+
+
+def scalar_lane_row(profile_name, duration_s, seed):
+    """Lane 0's row, read off a scalar-engine session under the standard
+    disturbance: the cohort-of-1 reference."""
+    result = scalar_session(profile_name, seed, duration_s,
+                            standard_disturbance(duration_s, VICTIM))
+    resilience = result.resilience
+    report = resilience.report(OBSERVER, VICTIM)
+    occupancy = resilience.ladders[VICTIM].occupancy_fractions(duration_s)
+    return {
+        "lane": 0,
+        "profile": profile_name,
+        "persona": result.persona_kind.value,
+        "p2p": result.p2p,
+        "mos_mean": report.mos_mean,
+        "total_stall_s": report.total_stall_s,
+        "mean_ttr_s": report.mean_ttr_s,
+        "max_ttr_s": report.max_ttr_s,
+        "failovers": resilience.reconnects,
+        "top_rung_fraction": occupancy.get(LadderLevel.TEXTURED_MESH, 0.0),
+        "audio_only_fraction": occupancy.get(LadderLevel.AUDIO_ONLY, 0.0),
+        "recovered": report.all_recovered,
+    }
+
+
+def lane_rows_to_csv(rows, path):
+    """Write cohort lane rows with the shared column order."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(LANE_FIELDS)
+        for row in rows:
+            writer.writerow([row[field] for field in LANE_FIELDS])
 
 
 class TestSeeds:
@@ -306,67 +352,61 @@ class TestRunSweep:
 
 class TestCohortEngine:
     def test_cohort_of_one_matches_scalar_csv(self, tmp_path):
-        """The acceptance ``cmp``: batch engine == scalar path, in bytes."""
-        rows = run_cohort("FaceTime", 1, duration_s=30.0, seed=0,
-                          scenario="standard")
-        reference = [scalar_lane_row("FaceTime", duration_s=30.0, seed=0)]
-        cohort_csv = tmp_path / "cohort.csv"
-        scalar_csv = tmp_path / "scalar.csv"
-        lane_rows_to_csv(rows, cohort_csv)
-        lane_rows_to_csv(reference, scalar_csv)
-        assert cohort_csv.read_bytes() == scalar_csv.read_bytes()
+        """The acceptance ``cmp``: batch engine == scalar path, in bytes.
 
-    def test_deferred_grouping_matches_eager(self):
+        FaceTime at the study's 30 s; the other profiles at the standard
+        disturbance's 10 s minimum.
+        """
+        for profile, duration_s in (("FaceTime", 30.0), ("Zoom", 10.0),
+                                    ("Webex", 10.0), ("Teams", 10.0)):
+            rows = run_cohort(profile, 1, duration_s=duration_s, seed=0,
+                              scenario="standard")
+            reference = [scalar_lane_row(profile, duration_s, seed=0)]
+            cohort_csv = tmp_path / f"{profile}-cohort.csv"
+            scalar_csv = tmp_path / f"{profile}-scalar.csv"
+            lane_rows_to_csv(rows, cohort_csv)
+            lane_rows_to_csv(reference, scalar_csv)
+            assert cohort_csv.read_bytes() == scalar_csv.read_bytes()
+
+    def test_grouped_arming_matches_scalar_sessions(self):
         """Grouped cohort arming changes the engine, never the results.
 
         Seed 0 ``mixed`` over 15 s samples two region outages covering
-        two lanes each: four (lane, event) pairs collapse into two
-        cohort events, and every per-lane observable stays identical to
-        eager per-event arming.
+        two lanes each: four (lane, event) pairs arm as two cohort
+        events, and every lane's report equals its session run alone on
+        the scalar engine with the same schedule and seed.
         """
-        from repro.core.testbed import default_two_user_testbed
         from repro.faults.cohort import CohortInjector
         from repro.faults.domains import build_plan, lane_schedules
-        from repro.faults.resilient import ResilienceConfig
         from repro.vca.cohort import CohortRunner
-        from repro.vca.profiles import PROFILES
 
         n_lanes, duration_s, seed = 4, 15.0, 0
         lane_regions = np.arange(n_lanes) % 2
         plan = build_plan("mixed", seed, duration_s, lane_regions,
-                         n_regions=2)
+                          n_regions=2)
         assert len(plan.events) == 2  # the fixture this test relies on
+        schedules = lane_schedules(plan, VICTIM)
 
-        def run_once(deferred):
-            schedules = lane_schedules(plan, gauntlet.VICTIM)
-            runner = CohortRunner()
-            injector = CohortInjector.of(runner.batch, deferred=deferred)
-            profile = PROFILES["FaceTime"]
-            for lane in range(n_lanes):
-                testbed = default_two_user_testbed()
-                runner.add(
-                    lambda sim, lane=lane: testbed.session(
-                        profile, seed=lane_seed(seed, lane),
-                        faults=schedules[lane],
-                        resilience=ResilienceConfig(), sim=sim,
-                    )
-                )
-            injector.seal()
-            results = runner.run(duration_s)
-            reports = [
-                r.resilience.report(gauntlet.OBSERVER, gauntlet.VICTIM)
-                for r in results
-            ]
-            return injector, reports
-
-        eager_injector, eager = run_once(deferred=False)
-        grouped_injector, grouped = run_once(deferred=True)
-        assert grouped == eager
-        # Eager arms lanes x events; deferred arms one event per group.
-        assert eager_injector.lane_events_covered == 4
-        assert eager_injector.cohort_events_armed == 4
-        assert grouped_injector.lane_events_covered == 4
-        assert grouped_injector.cohort_events_armed == 2
+        runner = CohortRunner()
+        for lane in range(n_lanes):
+            runner.add(lambda sim, lane=lane: (
+                default_two_user_testbed().session(
+                    PROFILES["FaceTime"], seed=lane_seed(seed, lane),
+                    faults=schedules[lane], resilience=ResilienceConfig(),
+                    sim=sim)))
+        grouped = [r.resilience.report(OBSERVER, VICTIM)
+                   for r in runner.run(duration_s)]
+        scalar = [
+            scalar_session("FaceTime", lane_seed(seed, lane), duration_s,
+                           schedules[lane]).resilience.report(
+                               OBSERVER, VICTIM)
+            for lane in range(n_lanes)
+        ]
+        assert grouped == scalar
+        injector = CohortInjector.of(runner.batch)
+        assert injector.sealed
+        assert injector.lane_events_covered == 4
+        assert injector.cohort_events_armed == 2
 
     def test_no_faults_scenario_stays_healthy(self):
         rows = run_cohort("FaceTime", 1, duration_s=10.0, seed=0,

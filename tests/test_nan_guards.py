@@ -11,8 +11,10 @@ import math
 
 import pytest
 
+from repro.experiments.gauntlet import evaluate_fleet_cell
 from repro.faults.schedule import FaultEvent, FaultKind
 from repro.geo.policy import LatencyBudget
+from repro.vca.cohort import sfu_cohort_downlink
 from repro.vca.jitterbuffer import JitterBuffer
 
 
@@ -45,3 +47,25 @@ def test_jitter_buffer_rejects_nan_delay():
     with pytest.raises(ValueError, match="playout delay"):
         JitterBuffer(math.nan)
     assert JitterBuffer(0.0).play([(0.0, 0.001)]).late_frames == 1
+
+
+@pytest.mark.parametrize("duration_s", [math.nan, math.inf, 0.0, -1.0])
+def test_sfu_cohort_rejects_a_duration_that_is_not_finite_and_positive(
+        duration_s):
+    with pytest.raises(ValueError, match="duration_s"):
+        sfu_cohort_downlink(2, duration_s)
+
+
+@pytest.mark.parametrize("server_gbps", [math.nan, math.inf, 0.0, -1.0])
+def test_sfu_cohort_rejects_a_server_rate_that_is_not_finite_and_positive(
+        server_gbps):
+    with pytest.raises(ValueError, match="server_gbps"):
+        sfu_cohort_downlink(2, 3.0, server_gbps=server_gbps)
+
+
+@pytest.mark.parametrize("timing", [{"tick_s": math.nan},
+                                    {"duration_s": math.nan},
+                                    {"duration_s": math.inf}])
+def test_fleet_cell_rejects_nan_and_infinite_timing(timing):
+    with pytest.raises(ValueError, match="finite and positive"):
+        evaluate_fleet_cell("none", "initiator-nearest", 5, seed=0, **timing)
