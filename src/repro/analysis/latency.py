@@ -13,6 +13,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.analysis.stats import SummaryStats, summarize_samples
+from repro.checks import at_least
 from repro.geo.coords import GeoPoint
 from repro.geo.latency import PathModel, DEFAULT_PATH_MODEL
 from repro.geo.servers import Server
@@ -37,8 +38,7 @@ def measure_server_rtts(
     traffic never interferes across measurements, matching how the paper
     measures servers independently.
     """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
+    at_least(repeats, 1, "repeats")
     results: Dict[str, SummaryStats] = {}
     for index, server in enumerate(servers):
         model = (path_model or DEFAULT_PATH_MODEL).spawn(seed * 1000 + index)

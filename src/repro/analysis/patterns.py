@@ -23,6 +23,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.checks import positive
 from repro.netsim.capture import CapturedPacket
 from repro.transport.rtp import RtpHeader, looks_like_rtp
 
@@ -70,8 +71,7 @@ def segment_bursts(records: Sequence[CapturedPacket],
     frames at 30-90 FPS are >= 11 ms apart, so a few milliseconds of gap
     cleanly separates them.
     """
-    if not gap_s > 0:
-        raise ValueError(f"gap_s must be positive, got {gap_s!r}")
+    positive(gap_s, "gap_s")
     bursts: List[Burst] = []
     start = end = None
     packets = 0

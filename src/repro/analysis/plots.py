@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence
 
 from repro.analysis.stats import SummaryStats
+from repro.checks import at_least
 
 
 def render_box(stats: SummaryStats, lo: float, hi: float,
@@ -30,8 +31,7 @@ def render_box(stats: SummaryStats, lo: float, hi: float,
     """
     if hi <= lo:
         raise ValueError("need hi > lo")
-    if width < 10:
-        raise ValueError("width too small to draw a box")
+    at_least(width, 10, "width")
 
     def col(value: float) -> int:
         clamped = min(max(value, lo), hi)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.analysis.stats import SummaryStats, summarize_samples
+from repro.checks import positive
 from repro.netsim.capture import Direction, PacketCapture, window_mbps
 
 #: Default window width, and the head skipped before the first window
@@ -77,6 +78,5 @@ def throughput_summary(
 def mean_throughput_mbps(capture: PacketCapture, direction: Direction,
                          duration_s: float) -> float:
     """Coarse mean over the whole capture (bytes / duration)."""
-    if not duration_s > 0:
-        raise ValueError(f"duration_s must be positive, got {duration_s!r}")
+    positive(duration_s, "duration_s")
     return capture.total_bytes(direction) * 8.0 / duration_s / 1e6

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import List
 
 from repro import calibration
+from repro.checks import at_least
 from repro.keypoints.motion import KeypointFrame, MotionSynthesizer
 
 
@@ -35,7 +36,6 @@ class RgbdCamera:
 
         Defaults to the paper's 2,000-frame session.
         """
-        if frames < 1:
-            raise ValueError("must record at least one frame")
+        at_least(frames, 1, "frames")
         synth = MotionSynthesizer(fps=self.fps, seed=self.seed)
         return list(synth.frames(frames))

@@ -9,22 +9,26 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import math
 import signal
 import sys
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro import calibration
+from repro.checks import at_least, finite, non_negative, positive
 
 
-def _checked(convert: Callable[[str], Any], ok: Callable[[Any], bool],
+def _checked(convert: Callable[[str], Any],
+             check: Callable[[Any, str], Any],
              requirement: str) -> Callable[[str], Any]:
-    """An argparse type: ``convert`` the text, then insist on ``ok``."""
+    """An argparse type: ``convert`` the text, then apply ``check``, the
+    :mod:`repro.checks` rule the library applies to the same value."""
     def parse(text: str) -> Any:
         value = convert(text)
-        if not ok(value):
-            raise argparse.ArgumentTypeError(f"{text!r}: {requirement}")
-        return value
+        try:
+            return check(value, "value")
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{text!r}: {requirement}") from None
 
     parse.__name__ = convert.__name__  # "invalid int value: 'x'"
     return parse
@@ -32,15 +36,16 @@ def _checked(convert: Callable[[str], Any], ok: Callable[[Any], bool],
 
 def _at_least(minimum: int) -> Callable[[str], int]:
     """An int argparse type refusing values below ``minimum``."""
-    return _checked(int, lambda n: n >= minimum, f"must be >= {minimum}")
+    return _checked(int, lambda n, name: at_least(n, minimum, name),
+                    f"must be >= {minimum}")
 
 
 _count = _at_least(0)
-_finite = _checked(float, math.isfinite, "must be a finite number")
-_positive = _checked(float, lambda x: math.isfinite(x) and x > 0,
-                     "must be a finite number > 0")
-_seconds = _checked(float, lambda x: math.isfinite(x) and x > 0,
-                    "must be a finite number of seconds > 0")
+_finite = _checked(float, finite, "must be a finite number")
+_positive = _checked(float, positive, "must be a finite number > 0")
+_seconds = _checked(float, positive, "must be a finite number of seconds > 0")
+_wait = _checked(float, non_negative,
+                 "must be a finite number of seconds >= 0")
 
 
 def _min_duration(command: str) -> Optional[Tuple[float, str]]:
@@ -121,7 +126,7 @@ def _add_common(parser: argparse.ArgumentParser, command: str) -> None:
         "seed": dict(type=int, default=0, help="master seed"),
         "duration": dict(type=_duration(command), default=20.0,
                          action=_Given, help="session seconds per run"),
-        "repeats": dict(type=int, default=calibration.MIN_REPEATS,
+        "repeats": dict(type=_at_least(1), default=calibration.MIN_REPEATS,
                         action=_Given,
                         help="independent repeats per experiment"),
     }
@@ -358,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--store", metavar="DIR",
                            help="shared store directory for distributed "
                                 "execution (implies --distributed)")
-            p.add_argument("--worker-wait", type=float, default=10.0,
+            p.add_argument("--worker-wait", type=_wait, default=10.0,
                            metavar="SECONDS",
                            help="grace period to wait for worker heartbeats "
                                 "before the coordinator executes cells "
@@ -426,9 +431,10 @@ def build_parser() -> argparse.ArgumentParser:
                            metavar="NAME",
                            help="named scenario distribution (see "
                                 "'scenarios describe')")
-            p.add_argument("--count", type=int, default=20, metavar="N",
+            p.add_argument("--count", type=_at_least(1), default=20,
+                           metavar="N",
                            help="scenarios to generate / run")
-            p.add_argument("--start", type=int, default=0, metavar="I",
+            p.add_argument("--start", type=_count, default=0, metavar="I",
                            help="first scenario index (batches are an "
                                 "indexed family; generation is "
                                 "index-stable)")
@@ -457,11 +463,11 @@ def _add_worker_parser(sub) -> None:
                         "'repro campaign --distributed --store DIR'")
     p.add_argument("--id", default=None,
                    help="worker id (default: host-pid-nonce)")
-    p.add_argument("--poll", type=float, default=0.25, metavar="SECONDS",
+    p.add_argument("--poll", type=_seconds, default=0.25, metavar="SECONDS",
                    help="sleep between claim attempts when idle")
-    p.add_argument("--heartbeat-interval", type=float, default=1.0,
+    p.add_argument("--heartbeat-interval", type=_seconds, default=1.0,
                    metavar="SECONDS", help="seconds between liveness beacons")
-    p.add_argument("--lease-timeout", type=float, default=None,
+    p.add_argument("--lease-timeout", type=_seconds, default=None,
                    metavar="SECONDS",
                    help="owner-silence span after which a lease is stolen "
                         "(default: 3x the heartbeat interval)")
@@ -471,13 +477,13 @@ def _add_worker_parser(sub) -> None:
                         "worker's heartbeat so its lease gets taken over")
     p.add_argument("--max-retries", type=_count, default=1,
                    help="transient-failure retries per cell")
-    p.add_argument("--join-timeout", type=float, default=60.0,
+    p.add_argument("--join-timeout", type=_wait, default=60.0,
                    metavar="SECONDS",
                    help="how long to wait for a campaign to be published")
-    p.add_argument("--idle-exit", type=float, default=None,
+    p.add_argument("--idle-exit", type=_wait, default=None,
                    metavar="SECONDS",
                    help="exit after this much continuous idleness")
-    p.add_argument("--max-cells", type=int, default=None,
+    p.add_argument("--max-cells", type=_count, default=None,
                    help="commit at most this many cells, then exit")
     p.add_argument("--quiet", action="store_true",
                    help="suppress per-cell progress lines")
@@ -497,7 +503,7 @@ def _add_cache_parser(sub) -> None:
         p.add_argument("--cache-dir",
                        help="cache root (default: REPRO_CACHE_DIR or "
                             "~/.cache/repro-sweeps)")
-    gc_p.add_argument("--orphan-ttl", type=float, default=0.0,
+    gc_p.add_argument("--orphan-ttl", type=_wait, default=0.0,
                       metavar="SECONDS",
                       help="only sweep temp files older than this "
                            "(default 0: sweep all)")
@@ -698,9 +704,18 @@ def _cmd_scenarios(args) -> int:
                          f"{args.distribution!r} (known: "
                          f"{', '.join(DISTRIBUTIONS)})")
     if args.spec_file:
+        specs = []
         with open(args.spec_file) as handle:
-            specs = [ScenarioSpec.from_json(line)
-                     for line in handle if line.strip()]
+            for line_no, line in enumerate(handle, 1):
+                try:
+                    if line.strip():
+                        specs.append(ScenarioSpec.from_json(line))
+                except (KeyError, TypeError, ValueError) as exc:
+                    why = (f"missing key {exc}" if isinstance(exc, KeyError)
+                           else exc)
+                    print(f"error: {args.spec_file}:{line_no}: {why}",
+                          file=sys.stderr)
+                    return 2
     else:
         generator = ScenarioGenerator(args.seed,
                                       DISTRIBUTIONS[args.distribution])
@@ -894,6 +909,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "quick", False) and getattr(args, "given", ()):
         parser.error(f"argument {args.given[0]}: not allowed with --quick")
+    if args.command == "placement" and args.users < args.session_size:
+        parser.error(f"argument --users: {args.users} users cannot fill one "
+                     f"session of --session-size {args.session_size}")
     return _COMMANDS[args.command](args)
 
 

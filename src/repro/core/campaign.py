@@ -33,6 +33,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 from repro import calibration
 from repro.analysis.protocol import classify_capture
 from repro.analysis.throughput import throughput_windows_mbps
+from repro.checks import at_least, positive
 from repro.core.cache import ResultCache, default_cache_root
 from repro.core.dist.coordinator import Coordinator
 from repro.core.errors import CellFailure
@@ -60,10 +61,9 @@ class CampaignCell:
     def __post_init__(self) -> None:
         if self.vca not in PROFILES:
             raise ValueError(f"unknown VCA {self.vca!r}")
-        if self.n_users < 2:
-            raise ValueError("need at least two users")
-        if self.duration_s <= 0 or self.repeats < 1:
-            raise ValueError("duration and repeats must be positive")
+        at_least(self.n_users, 2, "n_users")
+        positive(self.duration_s, "duration_s")
+        at_least(self.repeats, 1, "repeats")
         if not callable(self.device_factory):
             raise ValueError("device_factory must be callable")
         probe = self.device_factory()

@@ -37,6 +37,7 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Union
 
+from repro.checks import positive
 from repro.core.cache import ResultCache, code_fingerprint
 from repro.core.dist import heartbeat as hb
 from repro.core.dist.merge import (
@@ -134,8 +135,6 @@ class Coordinator:
         sleep: Callable[[float], None] = time.sleep,
         monotonic: Callable[[], float] = time.monotonic,
     ) -> None:
-        if timeout is not None and not timeout > 0:  # NaN-safe
-            raise ValueError("timeout must be positive (or None)")
         self.layout = (store if isinstance(store, StoreLayout)
                        else make_layout(store))
         self.worker = worker_id(None)
@@ -147,7 +146,7 @@ class Coordinator:
             lease_timeout_s if lease_timeout_s is not None
             else heartbeat_interval_s * hb.STALE_FACTOR
         )
-        self.timeout = timeout
+        self.timeout = None if timeout is None else positive(timeout, "timeout")
         self.policy = RetryPolicy(max_retries=max_retries, jitter=jitter,
                                   seed=seed)
         self.journal = journal

@@ -29,6 +29,7 @@ import time
 from pathlib import Path
 from typing import Dict, Optional
 
+from repro.checks import positive
 from repro.core.dist.store import StoreLayout, atomic_write_json, read_json
 from repro.obs import metrics as obs_metrics
 
@@ -47,11 +48,9 @@ class HeartbeatWriter:
     def __init__(self, layout: StoreLayout, worker: str,
                  interval_s: float = DEFAULT_INTERVAL_S,
                  busy_timeout_s: Optional[float] = None) -> None:
-        if interval_s <= 0:
-            raise ValueError("heartbeat interval must be positive")
         self.layout = layout
         self.worker = worker
-        self.interval_s = interval_s
+        self.interval_s = positive(interval_s, "interval_s")
         self.busy_timeout_s = busy_timeout_s
         self.path = layout.heartbeats_dir / f"{worker}.json"
         self._beats = obs_metrics.counter("dist.heartbeats")

@@ -35,6 +35,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Tuple, Union
 
+from repro.checks import positive
 from repro.core.cache import ResultCache, code_fingerprint
 from repro.core.dist import heartbeat as hb
 from repro.core.dist.queue import Lease, QueueError, WorkQueue
@@ -193,9 +194,8 @@ class WorkerAgent:
             lease_timeout_s if lease_timeout_s is not None
             else heartbeat_interval_s * hb.STALE_FACTOR
         )
-        if cell_timeout_s is not None and not cell_timeout_s > 0:  # NaN-safe
-            raise ValueError("cell_timeout_s must be positive (or None)")
-        self.cell_timeout_s = cell_timeout_s
+        self.cell_timeout_s = (None if cell_timeout_s is None else
+                               positive(cell_timeout_s, "cell_timeout_s"))
         self.policy = RetryPolicy(max_retries=retries, jitter=jitter,
                                   seed=seed)
         self.join_timeout_s = join_timeout_s

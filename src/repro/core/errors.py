@@ -29,6 +29,8 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Optional
 
+from repro.checks import at_least, fraction, non_negative
+
 
 class CellError(Exception):
     """Base of the taxonomy; cells may raise subclasses to self-classify."""
@@ -153,14 +155,11 @@ class RetryPolicy:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.backoff_base_s < 0 or self.backoff_max_s < 0:
-            raise ValueError("backoff delays must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be a fraction in [0, 1]")
+        at_least(self.max_retries, 0, "max_retries")
+        non_negative(self.backoff_base_s, "backoff_base_s")
+        non_negative(self.backoff_max_s, "backoff_max_s")
+        at_least(self.backoff_factor, 1.0, "backoff_factor")
+        fraction(self.jitter, "jitter")
 
     def delay_for(self, retry: int, salt: str = "") -> float:
         """Seconds to wait before retry number ``retry`` (1-based).

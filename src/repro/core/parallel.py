@@ -60,6 +60,7 @@ from multiprocessing import connection as mp_connection
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple)
 
+from repro.checks import at_least, positive
 from repro.core.cache import (
     ResultCache,
     code_fingerprint,
@@ -384,18 +385,13 @@ class TaskRunner:
         sleep: Callable[[float], None] = time.sleep,
         monotonic: Callable[[], float] = time.monotonic,
     ) -> None:
-        if jobs < 0:
-            raise ValueError("jobs must be >= 0 (0/1 mean serial)")
-        if retries < 0:
-            raise ValueError("retries must be >= 0")
-        if timeout is not None and not timeout > 0:  # NaN-safe
-            raise ValueError("timeout must be positive (or None)")
-        self.jobs = jobs
+        at_least(retries, 0, "retries")
+        self.jobs = at_least(jobs, 0, "jobs")
         self.cache = cache
         self.policy = policy or RetryPolicy(max_retries=retries)
         self.retries = self.policy.max_retries
         self.progress = progress
-        self.timeout = timeout
+        self.timeout = None if timeout is None else positive(timeout, "timeout")
         self.journal = journal
         self.resume = resume
         self.manifest = manifest if manifest is not None else RunManifest()

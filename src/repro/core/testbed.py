@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
+from repro.checks import at_least
 from repro.devices.models import Device, VisionPro
 from repro.geo.coords import GeoPoint
 from repro.geo.latency import PathModel
@@ -88,8 +89,7 @@ def multi_user_testbed(
     Used by the scalability experiments (Sec. 4.5): up to five Vision Pro
     users spread over the catalog cities.
     """
-    if n_users < 2:
-        raise ValueError("need at least two users")
+    at_least(n_users, 2, "n_users")
     default_cities = ["san jose", "dallas", "washington", "chicago", "seattle"]
     chosen = list(cities) if cities is not None else default_cities
     if len(chosen) < n_users:

@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import calibration
+from repro.checks import at_least
 from repro.core.parallel import CellTask, run_tasks
 from repro.geo.coords import GeoPoint
 from repro.geo.regions import city
@@ -62,8 +63,7 @@ def run_delivery_culling(
     receiver's viewport (the paper: "if the content is known to fall
     outside of a receiver's viewport, it could be omitted from delivery").
     """
-    if n_users < 2:
-        raise ValueError("need at least two users")
+    at_least(n_users, 2, "n_users")
     personas = arrange_personas([f"U{i + 2}" for i in range(n_users - 1)])
     attention = AttentionModel(personas, seed=seed)
     policy = LodPolicy()

@@ -43,6 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.checks import positive
 from repro.core.cache import ResultCache
 from repro.core.journal import RunJournal, RunManifest
 from repro.core.parallel import CellTask, run_tasks
@@ -171,10 +172,10 @@ def evaluate_fleet_cell(
     if scenario not in scenario_names():
         raise KeyError(
             f"unknown scenario {scenario!r} (known: {scenario_names()})")
-    if n_sessions < 1:
+    if not n_sessions >= 1:
         raise ValueError("need at least one session")
-    if not (0 < tick_s < np.inf and 0 < duration_s < np.inf):
-        raise ValueError("duration and tick must be finite and positive")
+    positive(tick_s, "tick_s")
+    positive(duration_s, "duration_s")
     world_seed = _world_seed(seed, scenario, n_sessions)
     demand = DemandModel.default(max_regions=regions)
     model = PathModel()
@@ -321,7 +322,7 @@ def run_cohort(
     are read off the lane's :class:`~repro.experiments.resilience.
     ResilienceRow`.
     """
-    if n_lanes < 1:
+    if not n_lanes >= 1:
         raise ValueError("need at least one lane")
     n_regions = max(1, regions)
     schedules = scenario_schedules(

@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.checks import at_least
 from repro.core.cache import ResultCache
 from repro.core.journal import RunJournal, RunManifest
 from repro.core.parallel import CellTask, run_tasks
@@ -89,9 +90,8 @@ def evaluate_cell(
 
     Returns a JSON-safe record; the unit of work for the campaign runner.
     """
-    if users < session_size:
-        raise ValueError("users must cover at least one session")
-    if session_size < 2:
+    at_least(users, session_size, "users")
+    if not session_size >= 2:
         raise ValueError("sessions need at least two participants")
     cell_seed = _cell_seed(seed, policy, k)
     demand = DemandModel.default(max_regions=regions, flash_seed=cell_seed,
@@ -294,6 +294,7 @@ def run(
     ks = sorted(set(int(k) for k in k_range))
     if not ks or ks[0] < 1:
         raise ValueError("k_range must contain positive server counts")
+    at_least(users, session_size, "users")
     tasks = [
         CellTask(
             name=f"placement/{policy}/k{k}",

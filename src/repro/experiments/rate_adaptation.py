@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro import calibration
+from repro.checks import positive
 from repro.core.parallel import CellTask, run_tasks
 from repro.core.testbed import default_two_user_testbed
 from repro.netsim.shaper import TrafficShaper
@@ -78,8 +79,7 @@ class RateAdaptationResult:
 def measure_at_limit(limit_kbps: float, duration_s: float = 20.0,
                      seed: int = 0) -> RatePoint:
     """Run one shaped spatial-persona session and read U2's receiver."""
-    if limit_kbps <= 0:
-        raise ValueError("limit must be positive")
+    positive(limit_kbps, "limit_kbps")
     testbed = default_two_user_testbed()
     session = testbed.session(PROFILES["FaceTime"], seed=seed)
     shaper = TrafficShaper(rate_bps=limit_kbps * 1000.0, seed=seed)

@@ -29,6 +29,7 @@ import pickle
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.checks import positive
 from repro.core.cache import ResultCache
 from repro.core.journal import RunJournal, RunManifest
 from repro.core.parallel import CellTask, run_tasks
@@ -115,8 +116,7 @@ class ResilienceRow:
         """
         from repro.faults.ladder import LEVEL_QUALITY
 
-        if duration_s <= 0:
-            raise ValueError("duration must be positive")
+        positive(duration_s, "duration_s")
         stall_fraction = min(1.0, max(0.0,
                                       self.total_stall_s / duration_s))
         presence = 1.0 - stall_fraction

@@ -49,6 +49,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.checks import at_least, fraction, non_negative, positive
 from repro.faults.schedule import (
     SERVER_TARGET,
     FaultEvent,
@@ -127,14 +128,10 @@ class DomainEvent:
     coverage: float
 
     def __post_init__(self) -> None:
-        if self.start_s < 0:
-            raise ValueError("domain event cannot start before t=0")
-        if self.duration_s <= 0:
-            raise ValueError("domain event duration must be positive")
-        if not 0.0 < self.coverage <= 1.0:
-            raise ValueError(f"coverage {self.coverage} outside (0, 1]")
-        if self.region_index < 0:
-            raise ValueError("region_index must be >= 0")
+        non_negative(self.start_s, "start_s")
+        positive(self.duration_s, "duration_s")
+        fraction(self.coverage, "coverage", "(]")
+        at_least(self.region_index, 0, "region_index")
 
     @property
     def end_s(self) -> float:
@@ -160,10 +157,8 @@ def sample_domain_events(
     if scenario not in SCENARIOS:
         raise KeyError(
             f"unknown scenario {scenario!r} (known: {scenario_names()})")
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
-    if n_regions < 1:
-        raise ValueError("need at least one region")
+    positive(duration_s, "duration_s")
+    at_least(n_regions, 1, "n_regions")
     events: List[DomainEvent] = []
     for kind in SCENARIOS[scenario]:
         params = _KIND_PARAMS[kind]

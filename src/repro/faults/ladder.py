@@ -23,6 +23,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Tuple
 
+from repro.checks import non_negative, positive
+
 
 class LadderLevel(enum.IntEnum):
     """The rungs, ordered by fidelity (and bandwidth appetite)."""
@@ -58,8 +60,7 @@ def sustainable_level(
     goodput can only unlock higher rungs.  ``AUDIO_ONLY`` is always
     sustainable — presence never drops to nothing.
     """
-    if goodput_bps < 0:
-        raise ValueError("goodput cannot be negative")
+    non_negative(goodput_bps, "goodput_bps")
     for level in sorted(nominal_bps, reverse=True):
         if level is LadderLevel.AUDIO_ONLY:
             continue
@@ -118,8 +119,7 @@ class DegradationLadder:
     _settled_at: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.settle_s < 0:
-            raise ValueError("settle time cannot be negative")
+        non_negative(self.settle_s, "settle_s")
         if not self.transitions:
             self.transitions.append((0.0, self.level))
 
@@ -146,8 +146,7 @@ class DegradationLadder:
         Raises:
             ValueError: For a non-positive duration.
         """
-        if duration_s <= 0:
-            raise ValueError("duration must be positive")
+        positive(duration_s, "duration_s")
         seconds = {level: 0.0 for level in LadderLevel}
         for (start, level), (end, _next) in zip(
             self.transitions, self.transitions[1:] + [(duration_s, self.level)]

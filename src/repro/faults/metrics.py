@@ -20,6 +20,7 @@ import bisect
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.checks import positive
 from repro.faults.ladder import LEVEL_QUALITY, DegradationLadder, LadderLevel
 from repro.faults.schedule import FaultEvent
 from repro.netsim.packet import Packet
@@ -74,10 +75,8 @@ class ResilienceTracker:
 
     def __init__(self, clock: Callable[[], float],
                  window_s: float = 1.0) -> None:
-        if window_s <= 0:
-            raise ValueError("window must be positive")
         self._clock = clock
-        self.window_s = window_s
+        self.window_s = positive(window_s, "window_s")
         self._origins: Dict[str, _OriginLog] = {}
 
     def tap(self, handler: Callable[[Packet], None]
@@ -169,8 +168,7 @@ def find_stalls(
     Raises:
         ValueError: For a non-positive duration.
     """
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
+    positive(duration_s, "duration_s")
     stalls: List[Stall] = []
     previous = warmup_s
     for arrival in arrival_times:
@@ -247,8 +245,7 @@ def mos_timeline(
     Audio-only windows score the rung's floor quality (presence without a
     persona) scaled by audio delivery.
     """
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
+    positive(duration_s, "duration_s")
     points: List[Tuple[float, float]] = []
     n_windows = max(1, int(round(duration_s / window_s)))
     for i in range(n_windows):

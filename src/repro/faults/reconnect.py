@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
+from repro.checks import at_least, positive
 from repro.geo.coords import GeoPoint
 from repro.geo.placement import rank_failover_servers
 from repro.geo.servers import Server, ServerFleet
@@ -37,10 +38,9 @@ class BackoffPolicy:
     cap_s: float = 4.0
 
     def __post_init__(self) -> None:
-        if self.base_s <= 0 or self.cap_s < self.base_s:
-            raise ValueError("need 0 < base <= cap")
-        if self.factor < 1.0:
-            raise ValueError("backoff factor must be >= 1")
+        positive(self.base_s, "base_s")
+        at_least(self.cap_s, self.base_s, "cap_s")
+        at_least(self.factor, 1.0, "factor")
 
     def delay_s(self, attempt: int) -> float:
         """Wait before attempt number ``attempt`` (0-based).
@@ -48,8 +48,7 @@ class BackoffPolicy:
         Raises:
             ValueError: For a negative attempt number.
         """
-        if attempt < 0:
-            raise ValueError("attempt cannot be negative")
+        at_least(attempt, 0, "attempt")
         return min(self.cap_s, self.base_s * self.factor ** attempt)
 
 
@@ -119,8 +118,8 @@ class ReconnectManager:
         outage_timeout_s: float = 0.75,
         connect_rtt_multiplier: float = 1.5,
     ) -> None:
-        if heartbeat_s <= 0 or outage_timeout_s <= 0:
-            raise ValueError("heartbeat and timeout must be positive")
+        positive(heartbeat_s, "heartbeat_s")
+        positive(outage_timeout_s, "outage_timeout_s")
         self.sim = sim
         self.fleet = fleet
         self.participant_locations = list(participant_locations)

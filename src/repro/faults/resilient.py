@@ -26,6 +26,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
+from repro.checks import positive
 from repro.faults.injector import FaultInjector, FaultLogEntry
 from repro.faults.ladder import DegradationLadder, LadderLevel
 from repro.faults.metrics import (
@@ -82,10 +83,8 @@ class ResilienceConfig:
     texture_resolution: int = 128
 
     def __post_init__(self) -> None:
-        if self.control_interval_s <= 0:
-            raise ValueError("control interval must be positive")
-        if self.goodput_window_s <= 0:
-            raise ValueError("goodput window must be positive")
+        positive(self.control_interval_s, "control_interval_s")
+        positive(self.goodput_window_s, "goodput_window_s")
 
 
 @dataclass

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import enum
 import hashlib
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.checks import at_least, non_negative, positive
 
 #: Pseudo-target addressing the session's currently selected relay server.
 SERVER_TARGET = "@server"
@@ -118,10 +119,8 @@ class FaultEvent:
     magnitude: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0 <= self.start_s < math.inf:
-            raise ValueError(f"fault start {self.start_s} not in [0, inf)")
-        if not 0 < self.duration_s < math.inf:
-            raise ValueError(f"fault duration {self.duration_s} not in (0, inf)")
+        non_negative(self.start_s, "start_s")
+        positive(self.duration_s, "duration_s")
         low, high = _MAGNITUDE_BOUNDS[self.kind]
         if not low <= self.magnitude <= high:
             raise ValueError(
@@ -219,8 +218,7 @@ class FaultSchedule:
         Raises:
             ValueError: For an empty target list or non-positive duration.
         """
-        if duration_s <= 0:
-            raise ValueError("duration must be positive")
+        positive(duration_s, "duration_s")
         if not targets:
             raise ValueError("need at least one target")
         rng = np.random.default_rng(seed)
@@ -261,8 +259,7 @@ def standard_disturbance(duration_s: float,
     blackout, a server outage (ignored by P2P sessions), a loss burst, a
     bandwidth collapse, and a WiFi degradation.
     """
-    if duration_s < STANDARD_DISTURBANCE_MIN_S:
-        raise ValueError("the standard disturbance needs >= 10 s of session")
+    at_least(duration_s, STANDARD_DISTURBANCE_MIN_S, "duration_s")
     f = duration_s  # event placement scales with the session length
     return FaultSchedule.scripted([
         FaultEvent(FaultKind.LINK_BLACKOUT, victim, 0.10 * f, 0.06 * f),

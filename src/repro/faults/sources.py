@@ -28,6 +28,7 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from repro import calibration
+from repro.checks import at_least
 from repro.faults.ladder import LadderLevel
 from repro.mesh.codec import DracoLikeCodec
 from repro.mesh.generate import head_mesh
@@ -102,8 +103,8 @@ class LadderedPersonaSource:
         keypoint_pool: int = 128,
         fec_policy: Optional[AdaptiveFecPolicy] = None,
     ) -> None:
-        if pool_size < 1 or keypoint_pool < 1:
-            raise ValueError("pools must hold at least one frame")
+        at_least(pool_size, 1, "pool_size")
+        at_least(keypoint_pool, 1, "keypoint_pool")
         self.fps = fps
         self._secret = session_secret
         self._level = level_provider

@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.checks import at_least, positive
 from repro.geo.coords import GeoPoint, latlon_arrays
 
 #: Hour of local time at which demand peaks (evening calls).
@@ -56,8 +57,7 @@ class WorldRegion:
     spread_deg: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.population_m <= 0:
-            raise ValueError("population must be positive")
+        positive(self.population_m, "population_m")
         if not -12.0 <= self.utc_offset_h <= 14.0:
             raise ValueError("utc offset out of range")
 
@@ -159,10 +159,8 @@ class FlashCrowd:
     multiplier: float
 
     def __post_init__(self) -> None:
-        if self.duration_h <= 0:
-            raise ValueError("duration must be positive")
-        if self.multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1")
+        positive(self.duration_h, "duration_h")
+        at_least(self.multiplier, 1.0, "multiplier")
 
     def active(self, t_utc_h: float) -> bool:
         """Whether the burst covers UTC hour ``t_utc_h`` (mod 24)."""
@@ -176,8 +174,7 @@ def seeded_flash_crowds(seed: int,
                         multiplier_range: Tuple[float, float] = (3.0, 8.0),
                         ) -> Tuple[FlashCrowd, ...]:
     """Draw ``count`` deterministic flash crowds for a scenario seed."""
-    if count < 0:
-        raise ValueError("count must be >= 0")
+    at_least(count, 0, "count")
     rng = np.random.default_rng(seed)
     picks = rng.choice(len(regions), size=min(count, len(regions)),
                        replace=False)
@@ -245,8 +242,7 @@ class DemandModel:
         """The world catalog (optionally truncated by population rank)."""
         regions = tuple(sorted(WORLD_REGIONS, key=lambda r: -r.population_m))
         if max_regions is not None:
-            if max_regions < 1:
-                raise ValueError("max_regions must be >= 1")
+            at_least(max_regions, 1, "max_regions")
             regions = regions[:max_regions]
         crowds: Tuple[FlashCrowd, ...] = ()
         if flash_seed is not None:
@@ -281,8 +277,7 @@ class DemandModel:
         jitter around the region centroid with the region's spread
         (clipped to valid latitudes, wrapped in longitude).
         """
-        if n < 1:
-            raise ValueError("n must be >= 1")
+        at_least(n, 1, "n")
         rng = np.random.default_rng(seed)
         weights = self.region_weights(t_utc_h)
         counts = rng.multinomial(n, weights)

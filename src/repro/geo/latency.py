@@ -26,6 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro import calibration
+from repro.checks import fraction
 from repro.geo.coords import GeoPoint, haversine_km_arrays, latlon_arrays
 
 
@@ -60,8 +61,7 @@ class PathModel:
     )
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.jitter_floor_fraction <= 1.0:
-            raise ValueError("jitter_floor_fraction must be in [0, 1]")
+        fraction(self.jitter_floor_fraction, "jitter_floor_fraction")
 
     def __hash__(self) -> int:
         return hash((self.fiber_speed_mps, self.inflation,

@@ -24,6 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.checks import at_least, positive
 from repro.geo.coords import GeoPoint, latlon_arrays
 from repro.geo.latency import PathModel, DEFAULT_PATH_MODEL
 from repro.geo.regions import all_clients
@@ -58,8 +59,7 @@ def global_candidate_sites(step_deg: float = 4.0) -> List[GeoPoint]:
     nearby is cheaper); filtering real submarine-cable feasibility is out
     of scope.
     """
-    if step_deg <= 0:
-        raise ValueError("step_deg must be positive")
+    positive(step_deg, "step_deg")
     lats = np.arange(-60.0, 70.0 + 1e-9, step_deg)
     lons = np.arange(-180.0, 180.0 - 1e-9, step_deg)
     return [
@@ -242,8 +242,7 @@ def optimize_placement(
         ValueError: For non-positive ``k``, an empty candidate/client set,
             or malformed weights.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    at_least(k, 1, "k")
     clients = list(clients) if clients is not None else all_clients()
     if not clients:
         raise ValueError("need at least one client")

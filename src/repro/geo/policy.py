@@ -31,6 +31,8 @@ from typing import Dict, Tuple
 
 import numpy as np
 
+from repro.checks import at_least, positive
+
 
 @dataclass(frozen=True)
 class AssignmentContext:
@@ -113,9 +115,7 @@ class LatencyBudget(ServerSelectionPolicy):
     name = "latency-budget"
 
     def __init__(self, budget_ms: float = 120.0) -> None:
-        if not budget_ms > 0:
-            raise ValueError(f"budget_ms must be positive, got {budget_ms!r}")
-        self.budget_ms = budget_ms
+        self.budget_ms = positive(budget_ms, "budget_ms")
 
     def assign(self, ctx: AssignmentContext) -> np.ndarray:
         per_participant = ctx.participant_rtts()       # (s, m, k)
@@ -144,9 +144,7 @@ class LoadAware(ServerSelectionPolicy):
     name = "load-aware"
 
     def __init__(self, capacity_factor: float = 1.5) -> None:
-        if capacity_factor <= 0:
-            raise ValueError("capacity_factor must be positive")
-        self.capacity_factor = capacity_factor
+        self.capacity_factor = positive(capacity_factor, "capacity_factor")
 
     def assign(self, ctx: AssignmentContext) -> np.ndarray:
         per_participant = ctx.participant_rtts()       # (s, m, k)
@@ -220,8 +218,7 @@ def session_worst_one_way_ms(
     remedy of Sec. 4.1.  With a shared relay the backbone leg is zero and
     this reduces to the initiator-nearest geometry of Table 1.
     """
-    if backbone_speedup < 1.0:
-        raise ValueError("backbone_speedup must be >= 1")
+    at_least(backbone_speedup, 1.0, "backbone_speedup")
     if assignment.shape != ctx.sessions.shape:
         raise ValueError("assignment shape must match sessions")
     n_sessions, party = ctx.sessions.shape

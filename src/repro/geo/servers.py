@@ -18,6 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import calibration
+from repro.checks import at_least
 from repro.geo.coords import GeoPoint
 from repro.geo.latency import PathModel
 from repro.geo.regions import Region
@@ -137,8 +138,7 @@ class ServerFleet:
         is divided by ``backbone_speedup`` (>= 1), modeling the
         "high-speed private network" remedy of Sec. 4.1.
         """
-        if backbone_speedup < 1.0:
-            raise ValueError("backbone_speedup must be >= 1")
+        at_least(backbone_speedup, 1.0, "backbone_speedup")
         attach = self.geo_distributed_attachments(participants)
         worst = 0.0
         for i, a in enumerate(participants):

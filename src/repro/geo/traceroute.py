@@ -16,6 +16,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.checks import at_least
 from repro.geo.coords import GeoPoint
 from repro.geo.latency import PathModel, DEFAULT_PATH_MODEL
 
@@ -110,8 +111,7 @@ class TcpTraceroute:
     def run(self, src: GeoPoint, dst: GeoPoint,
             seed: int = 0) -> List[TracerouteHop]:
         """Walk the path; silent hops yield empty RTT lists."""
-        if self.probes_per_ttl < 1:
-            raise ValueError("need at least one probe per TTL")
+        at_least(self.probes_per_ttl, 1, "probes_per_ttl")
         rng = np.random.default_rng(seed)
         result = []
         for hop in synthesize_path(src, dst, self.model):

@@ -31,6 +31,7 @@ from typing import Optional
 import numpy as np
 
 from repro import calibration
+from repro.checks import fraction, non_negative
 from repro.keypoints.codec import EncodedKeypointFrame
 from repro.keypoints.motion import KeypointFrame
 from repro.keypoints.schema import TEMPLATES, semantic_subset
@@ -179,8 +180,7 @@ class AdaptiveLayerSelector:
     profile_frames: int = 64
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.headroom <= 1.0:
-            raise ValueError("headroom must be in (0, 1]")
+        fraction(self.headroom, "headroom", "(]")
         from repro.keypoints.motion import MotionSynthesizer
 
         synth = MotionSynthesizer(fps=self.fps, seed=1)
@@ -194,8 +194,7 @@ class AdaptiveLayerSelector:
 
     def select(self, available_mbps: float) -> Optional[Layer]:
         """Highest layer fitting ``available_mbps`` (None: not even BASE)."""
-        if available_mbps < 0:
-            raise ValueError("available rate cannot be negative")
+        non_negative(available_mbps, "available_mbps")
         budget = available_mbps * self.headroom
         chosen: Optional[Layer] = None
         for layer in Layer:

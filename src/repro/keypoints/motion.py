@@ -11,12 +11,12 @@ compressed bitrate of the semantic codec.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 import numpy as np
 
+from repro.checks import at_least, fraction, positive
 from repro.keypoints.schema import FacialLandmarks, TEMPLATES, semantic_subset
 
 
@@ -94,10 +94,8 @@ class MotionSynthesizer:
     _rng: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not 0 < self.fps < math.inf:
-            raise ValueError(f"fps must be positive and finite, got {self.fps}")
-        if not 0.0 <= self.speech_activity <= 1.0:
-            raise ValueError("speech_activity must be in [0, 1]")
+        positive(self.fps, "fps")
+        fraction(self.speech_activity, "speech_activity")
         self._rng = np.random.default_rng(self.seed)
         self._head_pose = _OrnsteinUhlenbeck(3, theta=0.8, sigma=0.06, rng=self._rng)
         self._head_pos = _OrnsteinUhlenbeck(3, theta=0.5, sigma=0.01, rng=self._rng)
@@ -111,8 +109,7 @@ class MotionSynthesizer:
 
     def frames(self, count: int) -> Iterator[KeypointFrame]:
         """Yield ``count`` consecutive frames."""
-        if count < 1:
-            raise ValueError("count must be >= 1")
+        at_least(count, 1, "count")
         dt = 1.0 / self.fps
         for index in range(count):
             yield self._frame(index, index * dt, dt)

@@ -22,6 +22,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro import calibration
+from repro.checks import fraction, positive
 from repro.keypoints.codec import DecodedKeypointFrame
 from repro.keypoints.motion import KeypointFrame
 from repro.keypoints.schema import TEMPLATES, semantic_subset
@@ -97,10 +98,8 @@ class PersonaReconstructor:
             min_group_coverage: Fraction of a group's keypoints that must
                 be visible for the group to count as received.
         """
-        if falloff_m <= 0:
-            raise ValueError("falloff must be positive")
-        if not 0.0 < min_group_coverage <= 1.0:
-            raise ValueError("min_group_coverage must be in (0, 1]")
+        positive(falloff_m, "falloff_m")
+        fraction(min_group_coverage, "min_group_coverage", "(]")
         self.template = template
         self.min_group_coverage = min_group_coverage
         rest = _rest_semantic_points()

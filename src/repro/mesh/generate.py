@@ -20,6 +20,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro import calibration
+from repro.checks import at_least
 from repro.mesh.model import TriangleMesh
 
 
@@ -30,8 +31,8 @@ def _sphere_grid(n_lat: int, n_lon: int) -> Tuple[np.ndarray, np.ndarray]:
     latitude band contributes ``2 * n_lon`` triangles except the two pole
     fans which contribute ``n_lon`` each, totalling ``2 * n_lat * n_lon``.
     """
-    if n_lat < 2 or n_lon < 3:
-        raise ValueError("need n_lat >= 2 and n_lon >= 3")
+    at_least(n_lat, 2, "n_lat")
+    at_least(n_lon, 3, "n_lon")
     thetas = np.linspace(0.0, np.pi, n_lat + 2)[1:-1]  # exclude poles
     phis = np.linspace(0.0, 2.0 * np.pi, n_lon, endpoint=False)
     theta_grid, phi_grid = np.meshgrid(thetas, phis, indexing="ij")
@@ -146,8 +147,7 @@ def head_mesh(triangle_count: int, seed: int = 0,
         scan_like: Apply the scan-statistics transform (see
             :func:`_scan_like`); disable for tests that need grid order.
     """
-    if triangle_count < 24:
-        raise ValueError(f"triangle_count too small: {triangle_count}")
+    at_least(triangle_count, 24, "triangle_count")
     if triangle_count % 2:
         raise ValueError("triangle_count must be even for a closed UV sphere")
     half = triangle_count // 2

@@ -93,7 +93,7 @@ def load_ply(path: PathLike) -> TriangleMesh:
     """
     data = Path(path).read_bytes()
     end = data.find(b"end_header\n")
-    if end < 0:
+    if end == -1:
         raise ValueError("missing PLY end_header")
     header = data[:end].decode("ascii", errors="replace")
     if "binary_little_endian" not in header:

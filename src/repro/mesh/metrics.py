@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
+from repro.checks import at_least
 from repro.mesh.model import TriangleMesh
 
 
@@ -24,14 +25,13 @@ def sample_surface(mesh: TriangleMesh, n_samples: int,
     Raises:
         ValueError: For non-positive sample counts or empty meshes.
     """
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
+    at_least(n_samples, 1, "n_samples")
     if mesh.triangle_count == 0:
         raise ValueError("cannot sample an empty mesh")
     rng = np.random.default_rng(seed)
     areas = mesh.face_areas()
     total = areas.sum()
-    if total <= 0:
+    if not total > 0:
         raise ValueError("mesh has zero surface area")
     chosen = rng.choice(len(areas), size=n_samples, p=areas / total)
     a = mesh.vertices[mesh.faces[chosen, 0]]

@@ -7,6 +7,8 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.checks import positive
+
 
 @dataclass
 class TriangleMesh:
@@ -76,8 +78,7 @@ class TriangleMesh:
 
     def scaled(self, factor: float) -> "TriangleMesh":
         """A copy uniformly scaled about the origin."""
-        if factor <= 0:
-            raise ValueError(f"scale factor must be positive, got {factor}")
+        positive(factor, "factor")
         return TriangleMesh(self.vertices * factor, self.faces.copy(), name=self.name)
 
     def copy(self) -> "TriangleMesh":

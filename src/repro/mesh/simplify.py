@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.checks import at_least
 from repro.mesh.model import TriangleMesh
 
 
@@ -20,8 +21,7 @@ def decimate(mesh: TriangleMesh, cells_per_axis: int) -> TriangleMesh:
     Returns a new mesh; triangles whose three corners land in fewer than
     three distinct cells are removed.
     """
-    if cells_per_axis < 1:
-        raise ValueError(f"cells_per_axis must be >= 1, got {cells_per_axis}")
+    at_least(cells_per_axis, 1, "cells_per_axis")
     lo, hi = mesh.bounding_box()
     extent = np.maximum(hi - lo, 1e-12)
     cell = np.floor((mesh.vertices - lo) / extent * cells_per_axis)
@@ -64,8 +64,7 @@ def decimate_to_target(
     """
     if target_triangles >= mesh.triangle_count:
         return mesh.copy()
-    if target_triangles < 4:
-        raise ValueError(f"target too small: {target_triangles}")
+    at_least(target_triangles, 4, "target_triangles")
 
     lo_res, hi_res = 2, 2048
     best = None

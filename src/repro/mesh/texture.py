@@ -19,6 +19,8 @@ import lzma
 import numpy as np
 from scipy.fftpack import dctn, idctn
 
+from repro.checks import fraction
+
 _LZMA_FILTERS = [{"id": lzma.FILTER_LZMA2, "preset": 1}]
 
 
@@ -51,7 +53,7 @@ def skin_texture(resolution: int = 512, seed: int = 0) -> TextureAtlas:
     Raises:
         ValueError: For resolutions that are not positive multiples of 8.
     """
-    if resolution <= 0 or resolution % 8:
+    if not resolution > 0 or resolution % 8:
         raise ValueError("resolution must be a positive multiple of 8")
     rng = np.random.default_rng(seed)
     y, x = np.mgrid[0:resolution, 0:resolution] / resolution
@@ -158,7 +160,6 @@ def textured_streaming_mbps(
     ``texture_refresh_fraction`` < 1 models delta-updated textures (only
     part of the atlas changes per frame).
     """
-    if not 0.0 <= texture_refresh_fraction <= 1.0:
-        raise ValueError("refresh fraction must be in [0, 1]")
+    fraction(texture_refresh_fraction, "texture_refresh_fraction")
     per_frame = geometry_bytes + texture_bytes * texture_refresh_fraction
     return per_frame * 8.0 * fps / 1e6

@@ -16,13 +16,13 @@ SFU fast-path observer, bench lane) comes from one kernel,
 from __future__ import annotations
 
 import enum
-import math
 from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.checks import non_negative, positive
 from repro.netsim.packet import Packet
 
 #: How many payload bytes a capture retains (Wireshark snaplen analogue).
@@ -178,10 +178,8 @@ def window_mbps(timestamps: np.ndarray, wire_bytes: np.ndarray,
         ValueError: Unless ``window_s`` is finite and positive and
             ``skip_head_s`` finite and non-negative.
     """
-    if not 0.0 < window_s < math.inf:
-        raise ValueError(f"window_s must be finite and > 0: {window_s}")
-    if not 0.0 <= skip_head_s < math.inf:
-        raise ValueError(f"skip_head_s must be finite and >= 0: {skip_head_s}")
+    positive(window_s, "window_s")
+    non_negative(skip_head_s, "skip_head_s")
     if len(timestamps) == 0:
         return []
     start = timestamps[0] + skip_head_s

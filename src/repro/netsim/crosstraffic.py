@@ -15,6 +15,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.checks import positive
 from repro.netsim.engine import Simulator
 from repro.netsim.node import Host
 from repro.netsim.packet import IPPROTO_TCP, IPPROTO_UDP, Packet
@@ -33,9 +34,7 @@ class BulkTransferSource:
 
     def __init__(self, rate_mbps: float = 50.0, ramp_mbps: float = 5.0,
                  floor_mbps: float = 1.0, seed: int = 0) -> None:
-        if rate_mbps <= 0:
-            raise ValueError("rate must be positive")
-        self.rate_mbps = rate_mbps
+        self.rate_mbps = positive(rate_mbps, "rate_mbps")
         self.initial_mbps = rate_mbps
         self.ramp_mbps = ramp_mbps
         self.floor_mbps = floor_mbps
@@ -102,11 +101,9 @@ class OnOffBurstSource:
 
     def __init__(self, burst_mbps: float = 20.0, mean_on_s: float = 0.5,
                  mean_off_s: float = 2.0, seed: int = 0) -> None:
-        if burst_mbps <= 0 or mean_on_s <= 0 or mean_off_s <= 0:
-            raise ValueError("burst rate and durations must be positive")
-        self.burst_mbps = burst_mbps
-        self.mean_on_s = mean_on_s
-        self.mean_off_s = mean_off_s
+        self.burst_mbps = positive(burst_mbps, "burst_mbps")
+        self.mean_on_s = positive(mean_on_s, "mean_on_s")
+        self.mean_off_s = positive(mean_off_s, "mean_off_s")
         self._rng = np.random.default_rng(seed)
         self.packets_sent = 0
         self._on = False

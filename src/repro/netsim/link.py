@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
+from repro.checks import positive
 from repro.netsim.engine import Simulator
 from repro.netsim.packet import Packet
 
@@ -40,12 +41,8 @@ class Link:
         queue_bytes: int = 256 * 1024,
         name: str = "link",
     ) -> None:
-        if not rate_bps > 0:
-            raise ValueError(f"link rate must be positive, got {rate_bps}")
-        if not queue_bytes > 0:
-            raise ValueError(f"queue must be positive, got {queue_bytes}")
-        self.rate_bps = rate_bps
-        self.queue_bytes = queue_bytes
+        self.rate_bps = positive(rate_bps, "rate_bps")
+        self.queue_bytes = positive(queue_bytes, "queue_bytes")
         self.name = name
         self.stats = LinkStats()
         self.up = True
@@ -61,9 +58,7 @@ class Link:
         Raises:
             ValueError: For a non-positive or NaN rate.
         """
-        if not rate_bps > 0:
-            raise ValueError(f"link rate must be positive, got {rate_bps}")
-        self.rate_bps = rate_bps
+        self.rate_bps = positive(rate_bps, "rate_bps")
 
     def serialization_delay(self, packet: Packet) -> float:
         """Seconds needed to clock the packet onto the wire."""

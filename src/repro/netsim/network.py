@@ -32,6 +32,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.checks import fraction, non_negative
 from repro.geo.latency import PathModel, DEFAULT_PATH_MODEL
 from repro.netsim.capture import PacketCapture
 from repro.netsim.engine import EventHandle, Simulator
@@ -58,10 +59,8 @@ class LinkFault:
     packets_dropped: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.loss <= 1.0:
-            raise ValueError(f"loss must be in [0, 1], got {self.loss}")
-        if not self.jitter_ms >= 0:
-            raise ValueError(f"jitter must be non-negative, got {self.jitter_ms}")
+        fraction(self.loss, "loss")
+        non_negative(self.jitter_ms, "jitter_ms")
 
 
 @dataclass

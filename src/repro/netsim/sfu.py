@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Set, Tuple
 
+from repro.checks import at_least
 from repro.geo.coords import GeoPoint
 from repro.netsim.node import Host
 from repro.netsim.packet import Packet
@@ -84,6 +85,5 @@ def forwarding_is_linear(num_users: int, per_stream_bps: float) -> float:
     Each client receives the streams of all other ``num_users - 1``
     participants — the mechanism behind Fig. 6(c)'s linear growth.
     """
-    if num_users < 1:
-        raise ValueError("need at least one user")
+    at_least(num_users, 1, "num_users")
     return (num_users - 1) * per_stream_bps

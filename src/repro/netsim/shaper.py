@@ -14,6 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from repro.checks import fraction, non_negative, positive
 from repro.netsim.engine import Simulator
 from repro.netsim.link import Link
 from repro.netsim.packet import Packet
@@ -41,12 +42,8 @@ class TrafficShaper:
         queue_bytes: int = 64 * 1024,
         seed: int = 0,
     ) -> None:
-        if not delay_ms >= 0:
-            raise ValueError(f"delay must be non-negative, got {delay_ms}")
-        if not 0.0 <= loss < 1.0:
-            raise ValueError(f"loss must be in [0, 1), got {loss}")
-        self.delay_ms = delay_ms
-        self.loss = loss
+        self.delay_ms = non_negative(delay_ms, "delay_ms")
+        self.loss = fraction(loss, "loss", "[)")
         self._limiter = (
             Link(rate_bps, queue_bytes=queue_bytes, name="shaper")
             if rate_bps is not None else None
@@ -105,6 +102,5 @@ class TrafficShaper:
         A source with rate adaptation would lower this under a tight
         limit; the spatial persona stream does not (Sec. 4.3).
         """
-        if duration_s <= 0:
-            raise ValueError("duration must be positive")
+        positive(duration_s, "duration_s")
         return (self.bytes_passed + self.bytes_dropped) * 8.0 / duration_s / 1e6

@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro import calibration
+from repro.checks import fraction, positive
 from repro.netsim.capture import PacketCapture
 from repro.netsim.link import Link
 
@@ -24,8 +25,7 @@ class WiFiAccessPoint:
         throughput_mbps: float = calibration.WIFI_AP_MBPS,
         queue_bytes: int = 512 * 1024,
     ) -> None:
-        if not throughput_mbps > 0:
-            raise ValueError(f"AP throughput must be positive, got {throughput_mbps}")
+        positive(throughput_mbps, "throughput_mbps")
         rate_bps = throughput_mbps * 1e6
         self.name = name
         self.base_rate_bps = rate_bps
@@ -49,8 +49,7 @@ class WiFiAccessPoint:
         Raises:
             ValueError: If ``factor`` is not in (0, 1].
         """
-        if not 0.0 < factor <= 1.0:
-            raise ValueError(f"degradation factor must be in (0, 1], got {factor}")
+        fraction(factor, "factor", "(]")
         self._degradation = factor
         self.uplink.set_rate(self.base_rate_bps * factor)
         self.downlink.set_rate(self.base_rate_bps * factor)

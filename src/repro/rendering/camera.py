@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import checks
+
 #: Horizontal field of view of the headset, degrees (full angle).
 FOV_HORIZONTAL_DEG = 100.0
 #: Vertical field of view, degrees (full angle).
@@ -30,14 +32,14 @@ def head_coverage(distance_m: float) -> float:
     Raises:
         ValueError: For non-positive distances.
     """
-    if distance_m <= 0:
-        raise ValueError(f"distance must be positive, got {distance_m}")
+    if not 0 < distance_m < math.inf:  # per persona per frame: no call
+        raise ValueError(f"distance_m must be finite and positive: {distance_m}")
     return min(1.0, HEAD_COVERAGE_AT_1M / (distance_m * distance_m))
 
 
 def _normalize(v: np.ndarray) -> np.ndarray:
     norm = np.linalg.norm(v)
-    if norm < 1e-12:
+    if not norm >= 1e-12:
         raise ValueError("cannot normalize a zero vector")
     return v / norm
 
@@ -99,8 +101,7 @@ class Camera:
 
         Used by the attention model: the head follows the eyes with a lag.
         """
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError("fraction must be in [0, 1]")
+        checks.fraction(fraction, "fraction")
         target = self.direction_to(point)
         blended = _normalize((1.0 - fraction) * self.forward + fraction * target)
         return Camera(self.position.copy(), blended)

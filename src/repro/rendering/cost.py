@@ -37,6 +37,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro import calibration
+from repro.checks import fraction, positive
 from repro.rendering.camera import head_coverage
 from repro.rendering.lod import LodDecision
 
@@ -80,12 +81,10 @@ class FrameCostFit:
     foveated_shading_factor: float
 
     def __post_init__(self) -> None:
-        for name in ("setup_ms", "k_tri_ms", "k_frag_ms",
-                     "foveated_shading_factor"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"degenerate fit: {name} <= 0")
-        if self.foveated_shading_factor >= 1.0:
-            raise ValueError("foveated shading must reduce fragment cost")
+        for name in ("setup_ms", "k_tri_ms", "k_frag_ms"):
+            positive(getattr(self, name), name)
+        fraction(self.foveated_shading_factor, "foveated_shading_factor",
+                 "()")
 
 
 #: The fit, computed once at import; tests assert it reproduces Fig. 5.
@@ -200,7 +199,7 @@ class CpuCostModel:
         models a healthy session).  ``spike_sources`` is the contention
         process, as in :meth:`GpuCostModel.frame_time_ms`.
         """
-        if n_personas < 0:
+        if not n_personas >= 0:
             raise ValueError("persona count cannot be negative")
         fraction = 1.0 if received_fraction is None else received_fraction
         total = self.fit.base_ms + self.fit.per_persona_ms * n_personas * fraction

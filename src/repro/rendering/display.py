@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import calibration
+from repro.checks import non_negative
 
 
 class ContentDeliveryMode(enum.Enum):
@@ -72,8 +73,7 @@ class DisplayLatencyModel:
             network_rtt_ms: Current round-trip time to the sender,
                 including any injected (tc) delay.
         """
-        if network_rtt_ms < 0:
-            raise ValueError("RTT cannot be negative")
+        non_negative(network_rtt_ms, "network_rtt_ms")
         if self.mode is ContentDeliveryMode.LOCAL_RECONSTRUCTION:
             # The new viewport is rendered from local state next frame.
             return (

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro import calibration
+from repro.checks import positive
 from repro.rendering.pipeline import FrameStats
 
 
@@ -46,8 +47,7 @@ def vsync_slots(gpu_ms: float,
     Raises:
         ValueError: For non-positive deadlines.
     """
-    if deadline_ms <= 0:
-        raise ValueError("deadline must be positive")
+    positive(deadline_ms, "deadline_ms")
     if gpu_ms <= 0:
         return 1
     return max(1, math.ceil(gpu_ms / deadline_ms))

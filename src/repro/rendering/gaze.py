@@ -18,6 +18,7 @@ from typing import List, Sequence
 
 import numpy as np
 
+from repro.checks import at_least, positive
 from repro.rendering.camera import Camera
 from repro.rendering.lod import PersonaView
 
@@ -68,8 +69,7 @@ def arrange_personas(persona_ids: Sequence[str],
     so expensive — see the frame-rate experiment).
     """
     count = len(persona_ids)
-    if count < 1:
-        raise ValueError("need at least one persona")
+    at_least(count, 1, "count")
     if count > 1:
         spacing_deg = min(spacing_deg, MAX_ARC_SPAN_DEG / count)
     distance = BASE_DISTANCE_M + DISTANCE_PER_EXTRA_USER_M * (count - 1)
@@ -109,8 +109,7 @@ class AttentionModel:
     def __post_init__(self) -> None:
         if not self.personas:
             raise ValueError("attention needs at least one persona")
-        if self.fps <= 0:
-            raise ValueError("fps must be positive")
+        positive(self.fps, "fps")
         self._rng = np.random.default_rng(self.seed)
         self._gaze_angle = self.personas[0].angle_deg
         self._target_angle = self._gaze_angle

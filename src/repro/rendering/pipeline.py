@@ -13,6 +13,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro import calibration
+from repro.checks import positive
 from repro.rendering.camera import Camera
 from repro.rendering.cost import CpuCostModel, GpuCostModel
 from repro.rendering.gaze import AttentionModel, ScenePersona, arrange_personas
@@ -93,8 +94,7 @@ class RenderPipeline:
                 FaceTime arc arrangement.
             attention_seed: Seed for gaze dynamics (defaults to ``seed``).
         """
-        if duration_s <= 0:
-            raise ValueError("duration must be positive")
+        positive(duration_s, "duration_s")
         scene = list(personas) if personas is not None else arrange_personas(persona_ids)
         attention = AttentionModel(
             scene, fps=fps,

@@ -25,6 +25,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.checks import at_least, fraction
 from repro.faults.schedule import derive_seed
 from repro.scenario.spec import (
     CITIES,
@@ -74,11 +75,8 @@ class ScenarioDistribution:
             raise ValueError("participants_range must satisfy 2 <= lo <= hi")
         for prob_name in ("spatial_bias", "churn_probability",
                           "storm_probability"):
-            value = getattr(self, prob_name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{prob_name} must be in [0, 1]")
-        if self.max_storm_flows < 0:
-            raise ValueError("max_storm_flows must be >= 0")
+            fraction(getattr(self, prob_name), prob_name)
+        at_least(self.max_storm_flows, 0, "max_storm_flows")
         if not self.fault_scenarios:
             raise ValueError("fault_scenarios cannot be empty")
         d_lo, d_hi = self.duration_range
@@ -159,9 +157,7 @@ class ScenarioGenerator:
 
     def __init__(self, seed: int,
                  distribution: ScenarioDistribution) -> None:
-        if seed < 0:
-            raise ValueError("seed must be >= 0")
-        self.seed = seed
+        self.seed = at_least(seed, 0, "seed")
         self.distribution = distribution
 
     def _rng(self, index: int, fieldname: str) -> np.random.Generator:
@@ -171,8 +167,7 @@ class ScenarioGenerator:
 
     def generate(self, index: int) -> ScenarioSpec:
         """The scenario at ``index`` (index >= 0)."""
-        if index < 0:
-            raise ValueError("index must be >= 0")
+        at_least(index, 0, "index")
         dist = self.distribution
         name = f"{dist.name}-{index:05d}"
         session_seed = derive_seed(self.seed, "scenario", index, "session")
@@ -201,8 +196,7 @@ class ScenarioGenerator:
 
     def batch(self, count: int, start: int = 0) -> List[ScenarioSpec]:
         """Scenarios ``start..start+count-1`` in order."""
-        if count < 0:
-            raise ValueError("count must be >= 0")
+        at_least(count, 0, "count")
         return [self.generate(start + i) for i in range(count)]
 
     # ------------------------------------------------------------------

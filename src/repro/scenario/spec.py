@@ -21,8 +21,10 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro import calibration
+from repro.checks import at_least, non_negative, positive
 from repro.devices.models import IPad, IPhone, MacBook, VisionPro
 from repro.faults.domains import SCENARIOS
+from repro.faults.schedule import STANDARD_DISTURBANCE_MIN_S
 from repro.vca.profiles import PROFILES, PersonaKind
 
 #: Device-kind slug -> factory, the spec's device vocabulary.
@@ -84,9 +86,8 @@ class ParticipantSpec:
         if self.city not in CITIES:
             raise ValueError(f"unknown city {self.city!r} "
                              f"(known: {list(CITIES)})")
-        if self.arrives_s < 0:
-            raise ValueError("arrives_s cannot be negative")
-        if self.departs_s is not None and self.departs_s <= self.arrives_s:
+        non_negative(self.arrives_s, "arrives_s")
+        if self.departs_s is not None and not self.departs_s > self.arrives_s:
             raise ValueError("departs_s must be after arrives_s")
 
     def to_dict(self) -> Dict[str, object]:
@@ -126,16 +127,12 @@ class CrossTrafficSpec:
         if self.kind not in CROSS_TRAFFIC_KINDS:
             raise ValueError(f"unknown cross-traffic kind {self.kind!r} "
                              f"(known: {list(CROSS_TRAFFIC_KINDS)})")
-        if self.source < 0:
-            raise ValueError("source participant index must be >= 0")
-        if self.rate_mbps <= 0:
-            raise ValueError("cross-traffic rate must be positive")
-        if self.start_s < 0:
-            raise ValueError("start_s cannot be negative")
-        if self.stop_s is not None and self.stop_s <= self.start_s:
+        at_least(self.source, 0, "source")
+        positive(self.rate_mbps, "rate_mbps")
+        non_negative(self.start_s, "start_s")
+        if self.stop_s is not None and not self.stop_s > self.start_s:
             raise ValueError("stop_s must be after start_s")
-        if self.seed_salt < 0:
-            raise ValueError("seed_salt must be >= 0")
+        at_least(self.seed_salt, 0, "seed_salt")
 
     def to_dict(self) -> Dict[str, object]:
         return {"kind": self.kind, "source": self.source,
@@ -175,8 +172,7 @@ class FaultSpec:
         if self.scenario not in FAULT_SCENARIOS:
             raise ValueError(f"unknown fault scenario {self.scenario!r} "
                              f"(known: {list(FAULT_SCENARIOS)})")
-        if self.n_regions < 1:
-            raise ValueError("n_regions must be >= 1")
+        at_least(self.n_regions, 1, "n_regions")
         if not 0 <= self.region_index < self.n_regions:
             raise ValueError("region_index must be in [0, n_regions)")
 
@@ -230,10 +226,8 @@ class ScenarioSpec:
         if self.topology not in TOPOLOGIES:
             raise ValueError(f"unknown topology {self.topology!r} "
                              f"(known: {list(TOPOLOGIES)})")
-        if self.duration_s <= 0:
-            raise ValueError("duration must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        positive(self.duration_s, "duration_s")
+        at_least(self.seed, 0, "seed")
         object.__setattr__(self, "participants", tuple(self.participants))
         object.__setattr__(self, "cross_traffic", tuple(self.cross_traffic))
         if self.topology == "multi-sfu":
@@ -242,7 +236,7 @@ class ScenarioSpec:
             self._validate_session()
 
     def _validate_multi_sfu(self) -> None:
-        if self.fanout is None or self.fanout < 2:
+        if self.fanout is None or not self.fanout >= 2:
             raise ValueError("multi-sfu needs fanout >= 2")
         if self.profile != "FaceTime":
             raise ValueError("the multi-sfu fast path models FaceTime only")
@@ -298,9 +292,10 @@ class ScenarioSpec:
             if flow.stop_s is not None and flow.stop_s > self.duration_s:
                 raise ValueError(f"cross-traffic flow {index} stops after "
                                  f"the session ends")
-        if self.faults.scenario == "standard" and self.duration_s < 10.0:
-            raise ValueError("the standard disturbance needs >= 10 s of "
-                             "session")
+        if (self.faults.scenario == "standard"
+                and self.duration_s < STANDARD_DISTURBANCE_MIN_S):
+            raise ValueError(f"the standard disturbance needs >= "
+                             f"{STANDARD_DISTURBANCE_MIN_S:g} s of session")
 
     # ------------------------------------------------------------------
     # Round trip

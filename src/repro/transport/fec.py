@@ -16,6 +16,8 @@ import struct
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro.checks import at_least, fraction
+
 #: Payload type discriminators inside the FEC framing.
 _SOURCE = 0
 _PARITY = 1
@@ -88,11 +90,8 @@ class FecEncoder:
     """Groups source payloads and emits XOR parity after every ``k``."""
 
     def __init__(self, k: int = 4, first_group: int = 0) -> None:
-        if k < 2:
-            raise ValueError("k must be at least 2")
-        if first_group < 0:
-            raise ValueError("first group cannot be negative")
-        self.k = k
+        at_least(first_group, 0, "first_group")
+        self.k = at_least(k, 2, "k")
         self._group = first_group
         self._index = 0
         self._parity = b""
@@ -136,9 +135,7 @@ class AdaptiveFecPolicy:
 
     def __init__(self, enable_at: float = 0.005,
                  thresholds: Optional[List[tuple]] = None) -> None:
-        if not 0.0 <= enable_at < 1.0:
-            raise ValueError("enable threshold must be in [0, 1)")
-        self.enable_at = enable_at
+        self.enable_at = fraction(enable_at, "enable_at", "[)")
         # (loss at least, k) rungs, most aggressive first.
         self._thresholds = thresholds or [(0.15, 2), (0.05, 3), (0.0, 4)]
 
@@ -148,12 +145,11 @@ class AdaptiveFecPolicy:
         Raises:
             ValueError: For a loss outside [0, 1].
         """
-        if not 0.0 <= loss <= 1.0:
-            raise ValueError(f"loss must be in [0, 1], got {loss}")
+        fraction(loss, "loss")
         if loss < self.enable_at:
             return None
-        for at_least, k in self._thresholds:
-            if loss >= at_least:
+        for min_loss, k in self._thresholds:
+            if loss >= min_loss:
                 return k
         return self._thresholds[-1][1]
 

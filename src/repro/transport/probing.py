@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import List
 
+from repro.checks import at_least
 from repro.netsim.engine import Simulator
 from repro.netsim.node import Host
 from repro.netsim.packet import IPPROTO_TCP, Packet
@@ -60,8 +61,7 @@ def tcp_ping(
 
     The caller must not have bound ``client_port`` on the client already.
     """
-    if count < 1:
-        raise ValueError("count must be at least 1")
+    at_least(count, 1, "count")
     send_times = {}
     rtts_ms: List[float] = []
 

@@ -14,6 +14,8 @@ import struct
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from repro.checks import positive
+
 #: RTCP packet types (RFC 3550 Sec. 12.1).
 PT_SENDER_REPORT = 200
 PT_RECEIVER_REPORT = 201
@@ -185,10 +187,8 @@ class ReceptionEstimator:
     """
 
     def __init__(self, ssrc: int, clock_rate_hz: int) -> None:
-        if clock_rate_hz <= 0:
-            raise ValueError("clock rate must be positive")
         self.ssrc = ssrc
-        self.clock_rate_hz = clock_rate_hz
+        self.clock_rate_hz = positive(clock_rate_hz, "clock_rate_hz")
         self._base_seq: Optional[int] = None
         self._max_seq = 0
         self._cycles = 0

@@ -42,7 +42,6 @@ saturate?  Deviations from the session path at scale:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -50,6 +49,7 @@ import numpy as np
 
 from repro import calibration
 from repro.analysis.stats import SummaryStats, summarize_samples
+from repro.checks import at_least, positive
 from repro.geo.regions import city
 from repro.geo.servers import build_fleet
 from repro.netsim.batch import (
@@ -120,8 +120,7 @@ class CohortRunner:
 
     def run(self, duration_s: float) -> List[SessionResult]:
         """Advance all sessions together, then collect each result."""
-        if duration_s <= 0:
-            raise ValueError("duration must be positive")
+        positive(duration_s, "duration_s")
         if not self.sessions:
             raise ValueError("cohort is empty; add sessions first")
         with obs_trace.span("vca.cohort.run", cat="session",
@@ -351,12 +350,10 @@ def sfu_cohort_downlink(
             (default) admits everyone and is bit-identical to the
             pre-admission fast path.
     """
-    if n < 2:
-        raise ValueError("an SFU cohort needs at least two participants")
-    if not 0 < duration_s < math.inf:
-        raise ValueError(f"duration_s must be finite and > 0: {duration_s}")
-    if server_gbps is not None and not 0 < server_gbps < math.inf:
-        raise ValueError(f"server_gbps must be finite and > 0: {server_gbps}")
+    at_least(n, 2, "n")
+    positive(duration_s, "duration_s")
+    if server_gbps is not None:
+        positive(server_gbps, "server_gbps")
     if observers is None:
         step = max(1, n // 4)
         observers = tuple(range(n))[::step][:4]
@@ -396,7 +393,7 @@ def sfu_cohort_downlink(
     admitted = np.arange(n)
     shed_users: Tuple[int, ...] = ()
     if admission_limit is not None:
-        if admission_limit < 2:
+        if not admission_limit >= 2:
             raise ValueError("admission_limit must admit at least two users")
         if admission_limit < n:
             by_delay = np.argsort(up_delay, kind="stable")
@@ -574,8 +571,7 @@ def sfu_observer_one_way_ms(n: int) -> np.ndarray:
     rotation and initiator-nearest server selection as
     :func:`sfu_cohort_downlink`.
     """
-    if n < 2:
-        raise ValueError("an SFU cohort needs at least two participants")
+    at_least(n, 2, "n")
     locations = [city(COHORT_CITIES[i % len(COHORT_CITIES)])
                  for i in range(n)]
     fleet = build_fleet(PROFILES["FaceTime"].name)

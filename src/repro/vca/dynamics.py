@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import calibration
+from repro.checks import positive
 from repro.geo.regions import city
 from repro.netsim.capture import Direction, PacketCapture
 from repro.netsim.engine import Simulator
@@ -146,8 +147,7 @@ class DynamicSession:
 
     def run(self, duration_s: float) -> DynamicSessionResult:
         """Run the scheduled session."""
-        if duration_s <= 0:
-            raise ValueError("duration must be positive")
+        positive(duration_s, "duration_s")
         # The observer streams for the entire session.
         self._activate(self.OBSERVER, 0.0, duration_s)
         leave_times = {

@@ -16,6 +16,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro import calibration
+from repro.checks import at_least, fraction, non_negative
 from repro.obs import metrics as obs_metrics
 
 
@@ -43,9 +44,7 @@ class JitterBuffer:
     """
 
     def __init__(self, playout_delay_ms: float) -> None:
-        if not playout_delay_ms >= 0:
-            raise ValueError(f"playout delay must be >= 0: {playout_delay_ms}")
-        self.playout_delay_ms = playout_delay_ms
+        self.playout_delay_ms = non_negative(playout_delay_ms, "playout delay")
 
     def play(self, timestamps: Sequence[Tuple[float, float]]) -> PlayoutReport:
         """Run the stream; timestamps are (send_s, arrival_s) pairs.
@@ -95,7 +94,7 @@ class JitterBuffer:
                 nonexistent session is a caller bug, not a droppable
                 frame.
         """
-        if n_lanes < 1:
+        if not n_lanes >= 1:
             raise ValueError("no lanes to play")
         send = np.asarray(send_s, dtype=np.float64)
         arrival = np.asarray(arrival_s, dtype=np.float64)
@@ -153,16 +152,12 @@ class AdaptiveJitterBuffer:
         min_delay_ms: float = 5.0,
         max_delay_ms: float = 500.0,
     ) -> None:
-        if initial_delay_ms < 0:
-            raise ValueError("playout delay cannot be negative")
-        if not 0.0 < gain <= 1.0:
-            raise ValueError("gain must be in (0, 1]")
-        if min_delay_ms < 0 or max_delay_ms < min_delay_ms:
-            raise ValueError("need 0 <= min_delay <= max_delay")
-        self.gain = gain
+        non_negative(initial_delay_ms, "initial_delay_ms")
+        self.gain = fraction(gain, "gain", "(]")
         self.safety = safety
-        self.min_delay_ms = min_delay_ms
-        self.max_delay_ms = max_delay_ms
+        self.min_delay_ms = non_negative(min_delay_ms, "min_delay_ms")
+        self.max_delay_ms = at_least(max_delay_ms, min_delay_ms,
+                                     "max_delay_ms")
         self.playout_delay_ms = float(
             np.clip(initial_delay_ms, min_delay_ms, max_delay_ms)
         )
@@ -185,7 +180,7 @@ class AdaptiveJitterBuffer:
             ValueError: If the frame arrives before it was sent.
         """
         one_way_ms = (arrival_s - send_s) * 1000.0
-        if one_way_ms < 0:
+        if not one_way_ms >= 0:
             raise ValueError("arrival precedes send")
         self.frames += 1
         self._m_frames.inc()
@@ -234,8 +229,7 @@ def minimal_playout_delay_ms(
     Raises:
         ValueError: If even ``max_delay_ms`` cannot meet the budget.
     """
-    if not 0.0 <= late_budget < 1.0:
-        raise ValueError("late budget must be in [0, 1)")
+    fraction(late_budget, "late budget", "[)")
     delays_ms = np.arange(0.0, max_delay_ms + resolution_ms, resolution_ms)
     one_way = np.array([a - s for s, a in timestamps]) * 1000.0
     cannot_meet = ValueError(
@@ -274,8 +268,7 @@ def persona_playout_budget_ms(network_jitter_std_ms: float,
     """
     from scipy.stats import norm
 
-    if network_jitter_std_ms < 0:
-        raise ValueError("jitter std cannot be negative")
+    non_negative(network_jitter_std_ms, "network_jitter_std_ms")
     quantile = norm.ppf(1.0 - late_budget)
     return base_one_way_ms + quantile * network_jitter_std_ms
 

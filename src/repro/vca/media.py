@@ -15,6 +15,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import calibration
+from repro.checks import at_least, positive
 from repro.keypoints.codec import SemanticCodec
 from repro.keypoints.motion import MotionSynthesizer
 from repro.mesh.codec import DracoLikeCodec
@@ -104,13 +105,9 @@ class VideoSource:
         jitter_sigma: float = 0.15,
         rate_scale: Optional[Callable[[], float]] = None,
     ) -> None:
-        if target_mbps <= 0:
-            raise ValueError("target bitrate must be positive")
-        if fps <= 0:
-            raise ValueError("fps must be positive")
         self.payload_type = payload_type
-        self.target_mbps = target_mbps
-        self.fps = fps
+        self.target_mbps = positive(target_mbps, "target_mbps")
+        self.fps = positive(fps, "fps")
         self.jitter_sigma = jitter_sigma
         self._rate_scale = rate_scale
         self._rng = np.random.default_rng(seed)
@@ -194,8 +191,7 @@ class SemanticSource:
         seed: int = 0,
         pool_size: int = SEMANTIC_POOL_FRAMES,
     ) -> None:
-        if pool_size < 1:
-            raise ValueError("pool must hold at least one frame")
+        at_least(pool_size, 1, "pool_size")
         self.fps = fps
         self._secret = session_secret
         self._pool = semantic_pool(fps, seed, pool_size)
@@ -253,8 +249,7 @@ class LayeredSemanticSource:
                  seed: int = 0, pool_size: int = 128) -> None:
         from repro.keypoints.layered import LayeredSemanticCodec
 
-        if pool_size < 1:
-            raise ValueError("pool must hold at least one frame")
+        at_least(pool_size, 1, "pool_size")
         self.fps = fps
         self.layer = layer
         self._secret = session_secret
@@ -348,9 +343,7 @@ class AudioSource:
 
     def __init__(self, bitrate_kbps: float = 32.0, seed: int = 0,
                  session_secret: Optional[bytes] = None) -> None:
-        if bitrate_kbps <= 0:
-            raise ValueError("audio bitrate must be positive")
-        self.bitrate_kbps = bitrate_kbps
+        self.bitrate_kbps = positive(bitrate_kbps, "bitrate_kbps")
         self._secret = session_secret
         self._rng = np.random.default_rng(seed)
         self._packetizer = RtpPacketizer(

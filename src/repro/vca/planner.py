@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro import calibration
+from repro.checks import at_least, fraction, positive
 from repro.devices.models import Device
 from repro.vca.profiles import PersonaKind, VcaProfile
 
@@ -32,8 +33,7 @@ class BandwidthPlan:
              downlink_capacity_mbps: float,
              headroom: float = 0.85) -> bool:
         """Whether the plan fits the given capacities with headroom."""
-        if headroom <= 0 or headroom > 1:
-            raise ValueError("headroom must be in (0, 1]")
+        fraction(headroom, "headroom", "(]")
         return (
             self.uplink_mbps <= uplink_capacity_mbps * headroom
             and self.downlink_mbps <= downlink_capacity_mbps * headroom
@@ -49,8 +49,7 @@ def plan_session(profile: VcaProfile, devices: Sequence[Device]
             session beyond the five-persona cap.
     """
     n = len(devices)
-    if n < 2:
-        raise ValueError("a session needs at least two participants")
+    at_least(n, 2, "n")
     persona_kind = profile.persona_kind(devices)
     if (persona_kind is PersonaKind.SPATIAL
             and n > calibration.MAX_SPATIAL_PERSONAS):
@@ -119,8 +118,8 @@ def check_feasibility(profile: VcaProfile, devices: Sequence[Device],
         ValueError: For non-positive capacities or ``headroom`` outside
             ``(0, 1]``.
     """
-    if uplink_capacity_mbps <= 0 or downlink_capacity_mbps <= 0:
-        raise ValueError("capacities must be positive")
+    positive(uplink_capacity_mbps, "uplink_capacity_mbps")
+    positive(downlink_capacity_mbps, "downlink_capacity_mbps")
     plan = plan_session(profile, devices)
     unconstrained = float("inf")
     up_ok = plan.fits(uplink_capacity_mbps, unconstrained, headroom)
@@ -145,8 +144,7 @@ def max_users_for_capacity(profile: VcaProfile, device_factory,
             eagerly so the spatial-cap ``ValueError`` handler below
             cannot swallow a bad argument as "zero users fit".
     """
-    if headroom <= 0 or headroom > 1:
-        raise ValueError("headroom must be in (0, 1]")
+    fraction(headroom, "headroom", "(]")
     best = 0
     for n in range(2, hard_cap + 1):
         devices: List[Device] = [device_factory() for _ in range(n)]

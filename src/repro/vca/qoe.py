@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import calibration
+from repro.checks import fraction, non_negative
 
 #: One-way delay threshold for high QoE (Sec. 4.1, refs [18, 21]).
 ONE_WAY_DELAY_THRESHOLD_MS = 100.0
@@ -37,14 +38,10 @@ class QoeFactors:
     triangle_fraction: float = 1.0  # rendered / full-quality triangles
 
     def __post_init__(self) -> None:
-        if self.one_way_delay_ms < 0:
-            raise ValueError("delay cannot be negative")
-        if not 0.0 <= self.persona_availability <= 1.0:
-            raise ValueError("availability must be in [0, 1]")
-        if self.displayed_fps < 0:
-            raise ValueError("fps cannot be negative")
-        if not 0.0 <= self.triangle_fraction <= 1.0:
-            raise ValueError("triangle fraction must be in [0, 1]")
+        non_negative(self.one_way_delay_ms, "one_way_delay_ms")
+        fraction(self.persona_availability, "persona_availability")
+        non_negative(self.displayed_fps, "displayed_fps")
+        fraction(self.triangle_fraction, "triangle_fraction")
 
 
 def delay_factor(one_way_delay_ms: float) -> float:
@@ -106,8 +103,7 @@ def score(factors: QoeFactors) -> float:
 
 def meets_high_qoe_bar(factors: QoeFactors, bar: float = 0.85) -> bool:
     """Whether a configuration clears a "high QoE" bar."""
-    if not 0.0 < bar <= 1.0:
-        raise ValueError("bar must be in (0, 1]")
+    fraction(bar, "bar", "(]")
     return score(factors) >= bar
 
 
@@ -142,9 +138,7 @@ class QoeVector:
 
     def __post_init__(self) -> None:
         for name in ("interactivity", "presence", "fidelity", "comfort"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
+            fraction(getattr(self, name), name)
 
     @classmethod
     def from_factors(cls, factors: QoeFactors,

@@ -15,6 +15,7 @@ from functools import lru_cache
 from typing import Callable, Dict, List, Optional
 
 from repro import calibration
+from repro.checks import positive
 from repro.keypoints.codec import EncodedKeypointFrame, SemanticCodec
 from repro.keypoints.reconstruct import frame_is_reconstructible
 from repro.netsim.packet import Packet
@@ -72,8 +73,7 @@ class PersonaAvailability:
     def availability(self, expected_fps: float = float(calibration.TARGET_FPS)
                      ) -> float:
         """Fraction of the expected frame rate actually reconstructed."""
-        if expected_fps <= 0:
-            raise ValueError("expected_fps must be positive")
+        positive(expected_fps, "expected_fps")
         return min(1.0, self.delivered_fps() / expected_fps)
 
     def poor_connection(self, expected_fps: float = float(calibration.TARGET_FPS)

@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Sequence
 from typing import TYPE_CHECKING
 
 from repro import calibration
+from repro.checks import positive
 from repro.devices.models import Device
 
 if TYPE_CHECKING:  # deferred: repro.faults imports back into repro.vca
@@ -309,8 +310,7 @@ class TelepresenceSession:
     def run(self, duration_s: float = float(calibration.MIN_SESSION_SECONDS)
             ) -> SessionResult:
         """Run the call for ``duration_s`` simulated seconds."""
-        if duration_s <= 0:
-            raise ValueError("duration must be positive")
+        positive(duration_s, "duration_s")
         with obs_trace.span("vca.session.run", cat="session",
                             sim_clock=lambda: self.sim.now,
                             profile=self.profile.name,
@@ -327,8 +327,7 @@ class TelepresenceSession:
         is collected individually.  :meth:`run` is exactly advance +
         collect.
         """
-        if duration_s <= 0:
-            raise ValueError("duration must be positive")
+        positive(duration_s, "duration_s")
         obs_metrics.counter("vca.sessions_run").inc()
         resilience = (
             self.resilience_runtime.collect(duration_s)

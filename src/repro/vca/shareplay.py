@@ -22,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.checks import positive
 from repro.netsim.engine import Simulator
 from repro.netsim.node import Host
 from repro.netsim.packet import IPPROTO_UDP, Packet
@@ -68,8 +69,7 @@ class SharedContentSource:
     """Streams shared content from the SharePlay host."""
 
     def __init__(self, profile: SharedContentProfile, seed: int = 0) -> None:
-        if profile.target_mbps <= 0:
-            raise ValueError("content bitrate must be positive")
+        positive(profile.target_mbps, "target_mbps")
         self.profile = profile
         self._rng = np.random.default_rng(seed)
         self._frame_index = 0

@@ -12,6 +12,7 @@ and ``--repeats`` silently; now it takes the seed and refuses the rest.
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -246,3 +247,120 @@ class TestQuickReport:
             err = capsys.readouterr().err
             assert flag in err and "--quick" in err
         assert built == []
+
+
+class TestNumericFlags:
+    """Every numeric flag is checked at parse time.  These used to end in
+    a traceback (``repeats must be >= 1``, ``cannot summarize zero
+    samples``, ``empty campaign result``) or be taken as given (a NaN
+    poll interval, a negative lease timeout)."""
+
+    @pytest.mark.parametrize("argv", [
+        *([command, "--repeats", "0"] for command in
+          ("table1", "fig4", "fig6", "campaign", "report", "reproduce")),
+        ["fig4", "--duration", "3", "--repeats", "-1"],
+        ["scenarios", "generate", "--count", "-1"],
+        ["scenarios", "run", "--count", "0"],
+        ["scenarios", "generate", "--start", "-1"],
+        *(["campaign", "--worker-wait", value]
+          for value in ("nan", "inf", "-1")),
+        *(["worker", "--store", "s", flag, value]
+          for flag in ("--join-timeout", "--idle-exit")
+          for value in ("nan", "inf", "-1")),
+        ["worker", "--store", "s", "--max-cells", "-1"],
+        *(["worker", "--store", "s", flag, value]
+          for flag in ("--poll", "--heartbeat-interval", "--lease-timeout")
+          for value in ("nan", "inf", "0", "-1")),
+        *(["cache", "gc", "--orphan-ttl", value]
+          for value in ("nan", "inf", "-1")),
+    ])
+    def test_bad_values_rejected(self, argv, capsys):
+        err = _rejected(argv, capsys)
+        assert f"argument {argv[-2]}" in err
+
+    def test_smallest_values_parse(self):
+        parse = build_parser().parse_args
+        assert parse(["campaign", "--worker-wait", "0",
+                      "--repeats", "1"]).worker_wait == 0.0
+        worker = parse(["worker", "--store", "s", "--join-timeout", "0",
+                        "--idle-exit", "0", "--max-cells", "0",
+                        "--poll", "0.01", "--lease-timeout", "0.5"])
+        assert (worker.join_timeout, worker.idle_exit, worker.max_cells,
+                worker.poll, worker.lease_timeout) == (0.0, 0.0, 0, 0.01,
+                                                       0.5)
+        assert parse(["cache", "gc", "--orphan-ttl", "0"]).orphan_ttl == 0.0
+        scenarios = parse(["scenarios", "run", "--count", "1",
+                           "--start", "0"])
+        assert (scenarios.count, scenarios.start) == (1, 0)
+
+
+class TestPlacementPopulation:
+    """``--users`` below ``--session-size`` is refused before any cell
+    runs (it used to end in a traceback from inside a cell)."""
+
+    def test_cli_names_both_flags(self, monkeypatch, capsys):
+        import repro.experiments.placement_study as study
+
+        monkeypatch.setattr(study, "run_tasks", _never_runs)
+        with pytest.raises(SystemExit) as exc:
+            main(["placement", "--users", "2", "--session-size", "3",
+                  "--policies", "initiator-nearest", "--k-range", "2",
+                  "--no-cache"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--users" in err and "--session-size" in err
+
+    def test_run_refuses_before_any_cell(self, monkeypatch):
+        import repro.experiments.placement_study as study
+
+        monkeypatch.setattr(study, "run_tasks", _never_runs)
+        with pytest.raises(ValueError, match="users"):
+            study.run(users=2, session_size=3, k_range=[2],
+                      policies=["initiator-nearest"])
+
+
+def _never_runs(*args, **kwargs):
+    raise AssertionError("cells ran before the boundary check")
+
+
+class TestSpecFile:
+    """``scenarios --spec-file`` parses every line before anything runs
+    and names the bad line (each case used to be a traceback; a NaN
+    duration started the batch and died in the engine)."""
+
+    GOOD = {
+        "name": "s", "profile": "Zoom", "topology": "p2p",
+        "duration_s": 12.0, "seed": 0, "faults": {},
+        "participants": [{"device": "vision-pro", "city": "san jose"},
+                         {"device": "macbook", "city": "dallas"}],
+    }
+
+    @pytest.mark.parametrize("action", ["run", "generate"])
+    @pytest.mark.parametrize("change,needle", [
+        ({"colour": "red"}, "unknown keys"),
+        ({"participants": [{"device": "quest", "city": "san jose"},
+                           {"device": "macbook", "city": "dallas"}]},
+         "unknown device"),
+        ({"participants": [{"device": "vision-pro", "city": "paris"},
+                           {"device": "macbook", "city": "dallas"}]},
+         "unknown city"),
+        ({"duration_s": math.nan}, "duration_s"),
+        ({"duration_s": math.inf}, "duration_s"),
+        ({"seed": None}, "missing key 'seed'"),
+    ])
+    def test_bad_line_named(self, action, change, needle, tmp_path,
+                            monkeypatch, capsys):
+        import repro.scenario
+
+        monkeypatch.setattr(repro.scenario, "run_batch", _never_runs)
+        path = tmp_path / "specs.jsonl"
+        bad = {key: value for key, value in {**self.GOOD, **change}.items()
+               if value is not None}
+        path.write_text(json.dumps(self.GOOD) + "\n\n"
+                        + json.dumps(bad) + "\n")
+        argv = ["scenarios", action, "--spec-file", str(path)]
+        assert main(argv + (["--no-cache"] if action == "run" else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}:3: ")
+        assert needle in captured.err
