@@ -123,7 +123,7 @@ _READS = {
 def _add_common(parser: argparse.ArgumentParser, command: str) -> None:
     """Add the common flags ``command`` reads (see ``_READS``)."""
     flags = {
-        "seed": dict(type=int, default=0, help="master seed"),
+        "seed": dict(type=_count, default=0, help="master seed (>= 0)"),
         "duration": dict(type=_duration(command), default=20.0,
                          action=_Given, help="session seconds per run"),
         "repeats": dict(type=_at_least(1), default=calibration.MIN_REPEATS,
@@ -704,18 +704,24 @@ def _cmd_scenarios(args) -> int:
                          f"{args.distribution!r} (known: "
                          f"{', '.join(DISTRIBUTIONS)})")
     if args.spec_file:
+        try:
+            with open(args.spec_file) as handle:
+                lines = handle.readlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            why = exc.strerror if isinstance(exc, OSError) else exc
+            print(f"error: {args.spec_file}: {why}", file=sys.stderr)
+            return 2
         specs = []
-        with open(args.spec_file) as handle:
-            for line_no, line in enumerate(handle, 1):
-                try:
-                    if line.strip():
-                        specs.append(ScenarioSpec.from_json(line))
-                except (KeyError, TypeError, ValueError) as exc:
-                    why = (f"missing key {exc}" if isinstance(exc, KeyError)
-                           else exc)
-                    print(f"error: {args.spec_file}:{line_no}: {why}",
-                          file=sys.stderr)
-                    return 2
+        for line_no, line in enumerate(lines, 1):
+            try:
+                if line.strip():
+                    specs.append(ScenarioSpec.from_json(line))
+            except (KeyError, TypeError, ValueError) as exc:
+                why = (f"missing key {exc}" if isinstance(exc, KeyError)
+                       else exc)
+                print(f"error: {args.spec_file}:{line_no}: {why}",
+                      file=sys.stderr)
+                return 2
     else:
         generator = ScenarioGenerator(args.seed,
                                       DISTRIBUTIONS[args.distribution])

@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Tuple, Union
 
-from repro.checks import positive
+from repro.checks import non_negative, positive
 from repro.core.cache import ResultCache, code_fingerprint
 from repro.core.dist import heartbeat as hb
 from repro.core.dist.queue import Lease, QueueError, WorkQueue
@@ -188,18 +188,21 @@ class WorkerAgent:
         self.layout = (store if isinstance(store, StoreLayout)
                        else make_layout(store))
         self.worker = worker_id(worker)
-        self.poll_s = poll_s
-        self.heartbeat_interval_s = heartbeat_interval_s
+        self.poll_s = positive(poll_s, "poll_s")
+        self.heartbeat_interval_s = positive(heartbeat_interval_s,
+                                             "heartbeat_interval_s")
         self.lease_timeout_s = (
-            lease_timeout_s if lease_timeout_s is not None
+            positive(lease_timeout_s, "lease_timeout_s")
+            if lease_timeout_s is not None
             else heartbeat_interval_s * hb.STALE_FACTOR
         )
         self.cell_timeout_s = (None if cell_timeout_s is None else
                                positive(cell_timeout_s, "cell_timeout_s"))
         self.policy = RetryPolicy(max_retries=retries, jitter=jitter,
                                   seed=seed)
-        self.join_timeout_s = join_timeout_s
-        self.idle_exit_s = idle_exit_s
+        self.join_timeout_s = non_negative(join_timeout_s, "join_timeout_s")
+        self.idle_exit_s = (None if idle_exit_s is None else
+                            non_negative(idle_exit_s, "idle_exit_s"))
         self.max_cells = max_cells
         self.progress = progress
         self._sleep = sleep

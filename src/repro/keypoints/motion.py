@@ -7,12 +7,16 @@ they do not random-walk away), a blink process, a speech-like mouth
 envelope, and slow hand gestures.  What matters downstream is that the
 streams have realistic temporal statistics, because those determine the
 compressed bitrate of the semantic codec.
+
+A capture is one block: only the random draws and the recurrences run
+frame by frame.  ``tests/test_motion_block.py`` holds it bit for bit to
+the frame-at-a-time synthesizer it replaced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -45,35 +49,16 @@ class KeypointFrame:
         )
 
 
-class _OrnsteinUhlenbeck:
-    """Mean-reverting Gaussian process, one value per dimension."""
-
-    def __init__(self, dims: int, theta: float, sigma: float,
-                 rng: np.random.Generator) -> None:
-        self.theta = theta
-        self.sigma = sigma
-        self.state = np.zeros(dims)
-        self._rng = rng
-
-    def step(self, dt: float) -> np.ndarray:
-        drift = -self.theta * self.state * dt
-        diffusion = self.sigma * np.sqrt(dt) * self._rng.standard_normal(
-            self.state.shape
-        )
-        self.state = self.state + drift + diffusion
-        return self.state
-
-
-def _rotation_matrix(angles: np.ndarray) -> np.ndarray:
-    """Rotation from (roll, pitch, yaw) in radians, ZYX convention."""
-    roll, pitch, yaw = angles
-    cr, sr = np.cos(roll), np.sin(roll)
-    cp, sp = np.cos(pitch), np.sin(pitch)
-    cy, sy = np.cos(yaw), np.sin(yaw)
-    rx = np.array([[1, 0, 0], [0, cr, -sr], [0, sr, cr]])
-    ry = np.array([[cp, 0, sp], [0, 1, 0], [-sp, 0, cp]])
-    rz = np.array([[cy, -sy, 0], [sy, cy, 0], [0, 0, 1]])
-    return rz @ ry @ rx
+#: Ornstein–Uhlenbeck mean reversion and volatility per motion dimension:
+#: head pose (roll, pitch, yaw), head position, left and right hand.
+_THETA = np.repeat([0.8, 0.5, 0.6], [3, 3, 6])
+_SIGMA = np.repeat([0.06, 0.01, 0.05], [3, 3, 6])
+_FACE, _HAND = TEMPLATES["face"].size, TEMPLATES["left_hand"].size
+_BLINK_S = 0.15
+_MOUTH_LO, _MOUTH_HI = FacialLandmarks.MOUTH
+_MOUTH_Z = TEMPLATES["face"][_MOUTH_LO:_MOUTH_HI, 2]
+#: The lower-lip points, which drop as the mouth opens.
+_LOWER_LIP = _MOUTH_LO + np.flatnonzero(_MOUTH_Z < _MOUTH_Z.mean())
 
 
 @dataclass
@@ -97,9 +82,7 @@ class MotionSynthesizer:
         positive(self.fps, "fps")
         fraction(self.speech_activity, "speech_activity")
         self._rng = np.random.default_rng(self.seed)
-        self._head_pose = _OrnsteinUhlenbeck(3, theta=0.8, sigma=0.06, rng=self._rng)
-        self._head_pos = _OrnsteinUhlenbeck(3, theta=0.5, sigma=0.01, rng=self._rng)
-        self._hand_pose = _OrnsteinUhlenbeck(6, theta=0.6, sigma=0.05, rng=self._rng)
+        self._motion = np.zeros(len(_THETA))
         self._blink_timer = self._next_blink()
         self._blink_phase = -1.0  # negative: not blinking
 
@@ -108,64 +91,80 @@ class MotionSynthesizer:
         return float(self._rng.uniform(3.0, 6.0))
 
     def frames(self, count: int) -> Iterator[KeypointFrame]:
-        """Yield ``count`` consecutive frames."""
+        """Yield ``count`` consecutive frames.
+
+        The generator synthesizes the whole block when first advanced;
+        each frame's arrays are views into it.
+        """
         at_least(count, 1, "count")
         dt = 1.0 / self.fps
-        for index in range(count):
-            yield self._frame(index, index * dt, dt)
+        for index, arrays in enumerate(zip(*self._block(count, dt))):
+            yield KeypointFrame(index, index * dt, *arrays)
 
-    def _frame(self, index: int, t: float, dt: float) -> KeypointFrame:
-        angles = self._head_pose.step(dt)
-        position = self._head_pos.step(dt)
-        rotation = _rotation_matrix(angles)
+    def _block(self, count: int, dt: float) -> Tuple[np.ndarray, ...]:
+        """Face, left-hand and right-hand keypoints of ``count`` frames."""
+        # Per frame: head steps, speech coin, blink time if due, hands, noise.
+        rng, normal = self._rng, self._rng.standard_normal
+        draws = np.empty((count, len(_THETA) + _FACE + 2 * _HAND))
+        talking = np.empty(count, dtype=bool)
+        blink = np.full(count, -1.0)  # blink phase; negative: eyes open
+        timer, phase = self._blink_timer, self._blink_phase
+        for i in range(count):
+            normal(out=draws[i, :6])
+            talking[i] = rng.random() < self.speech_activity
+            timer -= dt
+            if timer <= 0.0 and phase < 0.0:
+                phase, timer = 0.0, self._next_blink()
+            if phase >= 0.0:
+                blink[i], phase = phase, phase + dt
+                if phase > _BLINK_S:
+                    phase = -1.0
+            normal(out=draws[i, 6:])
+        self._blink_timer, self._blink_phase = timer, phase
 
-        face = TEMPLATES["face"].copy()
-        face = self._animate_mouth(face, t)
-        face = self._animate_blink(face, dt)
-        face = face @ rotation.T + position
+        diffusion = draws[:, :len(_THETA)] * (_SIGMA * np.sqrt(dt))
+        motion = np.empty((count, len(_THETA)))
+        state, neg_theta = self._motion, -_THETA
+        for i in range(count):
+            motion[i] = state = state + neg_theta * state * dt + diffusion[i]
+        self._motion = state
 
-        hands = self._hand_pose.step(dt)
-        left = TEMPLATES["left_hand"] + hands[:3] * np.array([0.5, 1.0, 1.0])
-        right = TEMPLATES["right_hand"] + hands[3:] * np.array([0.5, 1.0, 1.0])
-        # Sensor noise: keypoint extractors jitter at the millimeter level.
-        noise = lambda shape: self._rng.normal(0.0, 5e-4, shape)  # noqa: E731
-        return KeypointFrame(
-            index=index,
-            timestamp=t,
-            face=face + noise(face.shape),
-            left_hand=left + noise(left.shape),
-            right_hand=right + noise(right.shape),
-        )
+        face = np.repeat(TEMPLATES["face"][None], count, axis=0)
+        # A speech-like mouth envelope at ~4.5 syllables per second.
+        t = np.arange(count) * dt
+        envelope = 0.5 + 0.5 * np.sin(2 * np.pi * 4.5 * t)
+        opening = np.where(talking, 0.012 * envelope, 0.001)
+        face[:, _LOWER_LIP, 2] -= opening[:, None]
+        # Both eyelid rings close during a ~150 ms blink.
+        rows = np.flatnonzero(blink >= 0.0)
+        closure = np.sin(np.pi * np.minimum(blink[rows] / _BLINK_S, 1.0))
+        for lo, hi in (FacialLandmarks.RIGHT_EYE, FacialLandmarks.LEFT_EYE):
+            eye_z = TEMPLATES["face"][lo:hi, 2]
+            center_z = eye_z.mean()
+            face[rows, lo:hi, 2] = (
+                center_z + (eye_z - center_z) * (1.0 - closure)[:, None])
+        face = face @ _rotations(motion[:, :3]).transpose(0, 2, 1)
+        face += motion[:, None, 3:6]
+        hands = motion[:, 6:] * np.tile([0.5, 1.0, 1.0], 2)
+        left = TEMPLATES["left_hand"] + hands[:, None, :3]
+        right = TEMPLATES["right_hand"] + hands[:, None, 3:]
+        # Keypoint extractors jitter at the millimeter level.
+        noise = 5e-4 * draws[:, len(_THETA):]
+        face += noise[:, :_FACE].reshape(face.shape)
+        left += noise[:, _FACE:-_HAND].reshape(left.shape)
+        right += noise[:, -_HAND:].reshape(right.shape)
+        return face, left, right
 
-    def _animate_mouth(self, face: np.ndarray, t: float) -> np.ndarray:
-        """Open/close the mouth with a speech-like envelope."""
-        talking = self._rng.random() < self.speech_activity
-        envelope = 0.5 + 0.5 * np.sin(2 * np.pi * 4.5 * t)  # ~syllable rate
-        opening = 0.012 * envelope if talking else 0.001
-        lo, hi = FacialLandmarks.MOUTH
-        mouth = face[lo:hi]
-        below = mouth[:, 2] < mouth[:, 2].mean()
-        mouth[below, 2] -= opening
-        face[lo:hi] = mouth
-        return face
 
-    def _animate_blink(self, face: np.ndarray, dt: float) -> np.ndarray:
-        """Close both eyelid rings during a ~150 ms blink."""
-        self._blink_timer -= dt
-        if self._blink_timer <= 0.0 and self._blink_phase < 0.0:
-            self._blink_phase = 0.0
-            self._blink_timer = self._next_blink()
-        if self._blink_phase >= 0.0:
-            closure = np.sin(np.pi * min(self._blink_phase / 0.15, 1.0))
-            for lo, hi in (FacialLandmarks.RIGHT_EYE, FacialLandmarks.LEFT_EYE):
-                eye = face[lo:hi]
-                center_z = eye[:, 2].mean()
-                eye[:, 2] = center_z + (eye[:, 2] - center_z) * (1.0 - closure)
-                face[lo:hi] = eye
-            self._blink_phase += dt
-            if self._blink_phase > 0.15:
-                self._blink_phase = -1.0
-        return face
+def _rotations(angles: np.ndarray) -> np.ndarray:
+    """Rotations from (roll, pitch, yaw) rows in radians, ZYX convention."""
+    (cr, cp, cy), (sr, sp, sy) = np.cos(angles).T, np.sin(angles).T
+    one, zero = np.ones(len(angles)), np.zeros(len(angles))
+    rx, ry, rz = (np.stack(m, axis=1).reshape(-1, 3, 3) for m in (
+        (one, zero, zero, zero, cr, -sr, zero, sr, cr),
+        (cp, zero, sp, zero, one, zero, -sp, zero, cp),
+        (cy, -sy, zero, sy, cy, zero, zero, zero, one)))
+    return rz @ ry @ rx
 
 
 def capture_session(

@@ -447,23 +447,25 @@ def drop_tail_departures(
     truncation of ``Link.backlog_bytes`` — matches the scalar link
     bit for bit, so kernels built on it reproduce event-driven runs.
     """
-    times = np.asarray(times, dtype=np.float64)
-    wire = np.asarray(wire_bytes)
-    n = len(times)
-    dep = np.full(n, np.nan)
-    accepted = np.zeros(n, dtype=bool)
+    time_list = np.asarray(times, dtype=np.float64).tolist()
+    wire_list = np.asarray(wire_bytes).tolist()
+    kept: List[int] = []
+    kept_dep: List[float] = []
     busy = busy0
     byte_rate = rate_bps / 8.0
-    for i in range(n):
-        now = times[i]
+    for i, now in enumerate(time_list):
         backlog = int((busy - now) * byte_rate) if busy > now else 0
-        w = int(wire[i])
+        w = int(wire_list[i])
         if backlog + w > queue_bytes:
             continue
         start = now if now > busy else busy
         busy = start + w * 8.0 / rate_bps
-        dep[i] = busy
-        accepted[i] = True
+        kept.append(i)
+        kept_dep.append(busy)
+    dep = np.full(len(time_list), np.nan)
+    dep[kept] = kept_dep
+    accepted = np.zeros(len(time_list), dtype=bool)
+    accepted[kept] = True
     return dep, accepted
 
 

@@ -49,7 +49,7 @@ import numpy as np
 
 from repro import calibration
 from repro.analysis.stats import SummaryStats, summarize_samples
-from repro.checks import at_least, positive
+from repro.checks import at_least, non_negative, positive
 from repro.geo.regions import city
 from repro.geo.servers import build_fleet
 from repro.netsim.batch import (
@@ -236,7 +236,10 @@ def _semantic_pools(seed: int, n: int,
     Exact :class:`~repro.vca.media.SemanticSource` pools (same per-user
     seeds) for the first ``pool_library`` users; beyond that users cycle
     the library — the documented large-cohort approximation.  Built
-    uncached: a cohort's per-user seeds never repeat.
+    bypassing the :func:`~repro.vca.media.semantic_pool` cache, although
+    the same seeds do repeat (``fig6.run_network_cohort`` rebuilds one
+    library per fan-out): one cohort's library would flush that 16-entry
+    LRU, which the sessions' sources share.
     """
     fps = float(calibration.TARGET_FPS)
     library: List[List[int]] = []
@@ -270,16 +273,14 @@ def _uplink_stream(duration_s: float, fps: float, pool: List[int],
     n_frames = int(np.floor((duration_s - base) * fps)) + 2
     t_frames = base + np.arange(max(n_frames, 0)) * interval
     t_frames = t_frames[t_frames <= duration_s]
-    # Expand frames to datagrams.
-    frame_sizes = [
-        _quic_chunk_wire_sizes(pool[k % len(pool)])
-        for k in range(len(t_frames))
-    ]
-    counts = np.array([len(s) for s in frame_sizes], dtype=np.int64)
+    # Expand frames to datagrams.  Frame k sends pool entry k % len(pool),
+    # so the datagram sizes repeat the pool's, entry by entry.
+    entry_wires = [_quic_chunk_wire_sizes(length) for length in pool]
+    counts = np.resize(np.array([len(w) for w in entry_wires],
+                                dtype=np.int64), len(t_frames))
     t_sem = np.repeat(t_frames, counts)
-    w_sem = np.array(
-        [w for sizes in frame_sizes for w in sizes], dtype=np.int64
-    )
+    w_sem = np.resize(np.array([w for wires in entry_wires for w in wires],
+                               dtype=np.int64), int(counts.sum()))
 
     times = np.concatenate([
         np.zeros(2), t_audio, t_sem,
@@ -352,11 +353,21 @@ def sfu_cohort_downlink(
     """
     at_least(n, 2, "n")
     positive(duration_s, "duration_s")
+    non_negative(seed, "seed")
+    positive(window_s, "window_s")
+    non_negative(skip_head_s, "skip_head_s")
+    at_least(pool_library, 1, "pool_library")
+    non_negative(playout_delay_ms, "playout_delay_ms")
     if server_gbps is not None:
         positive(server_gbps, "server_gbps")
+    if admission_limit is not None and not admission_limit >= 2:
+        raise ValueError("admission_limit must admit at least two users")
     if observers is None:
         step = max(1, n // 4)
         observers = tuple(range(n))[::step][:4]
+    for obs in observers:
+        if not 0 <= obs < n:
+            raise IndexError(f"observer {obs} out of range for n={n}")
     facetime = PROFILES["FaceTime"]
     fps = float(calibration.TARGET_FPS)
     rate_bps = calibration.WIFI_AP_MBPS * 1e6
@@ -392,18 +403,15 @@ def sfu_cohort_downlink(
     # Admission control: refuse the farthest (cheapest-regret) users.
     admitted = np.arange(n)
     shed_users: Tuple[int, ...] = ()
-    if admission_limit is not None:
-        if not admission_limit >= 2:
-            raise ValueError("admission_limit must admit at least two users")
-        if admission_limit < n:
-            by_delay = np.argsort(up_delay, kind="stable")
-            admitted = np.sort(by_delay[:admission_limit])
-            shed_users = tuple(
-                int(i) for i in np.sort(by_delay[admission_limit:])
-            )
-            obs_metrics.counter("vca.cohort.admission_shed").inc(
-                len(shed_users)
-            )
+    if admission_limit is not None and admission_limit < n:
+        by_delay = np.argsort(up_delay, kind="stable")
+        admitted = np.sort(by_delay[:admission_limit])
+        shed_users = tuple(
+            int(i) for i in np.sort(by_delay[admission_limit:])
+        )
+        obs_metrics.counter("vca.cohort.admission_shed").inc(
+            len(shed_users)
+        )
     # Original-index -> admitted-local-index map (-1 = shed).
     local = np.full(n, -1, dtype=np.int64)
     local[admitted] = np.arange(len(admitted))
@@ -514,8 +522,6 @@ def sfu_cohort_downlink(
     # jitter buffer needs (send, arrival) pairs per observer.
     send_in = send[accepted]
     for obs in observers:
-        if not 0 <= obs < n:
-            raise IndexError(f"observer {obs} out of range for n={n}")
         if local[obs] < 0:
             # Refused at admission: the SFU never sends toward this user.
             t_arrive = wire_got = np.empty(0)

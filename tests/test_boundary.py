@@ -7,8 +7,8 @@ every row; hypothesis draws the out-of-range values of each rule (0 and
 negatives for ``positive``, negatives for ``non_negative``, values
 outside the interval for ``fraction``, numbers below the minimum for
 ``at_least``) and, where the call is cheap, values it must accept.  The
-simulators' ``run`` fails the test, so every refusal comes before any
-event runs.
+simulators' ``run`` and the SFU fast path's pool builder fail the test,
+so every refusal comes before any event runs or any LZMA pool is built.
 
 The NaN case of each row under "parent bugs" was accepted before the
 checks module, or failed deep inside (numpy's ``arange``, the netsim
@@ -32,6 +32,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.core.campaign import Campaign, CampaignCell
+from repro.core.dist import WorkerAgent
 from repro.core.errors import RetryPolicy
 from repro.core.parallel import TaskRunner
 from repro.devices.models import VisionPro
@@ -54,6 +55,7 @@ from repro.netsim.shaper import TrafficShaper
 from repro.rendering.camera import head_coverage
 from repro.scenario.spec import CrossTrafficSpec, ParticipantSpec, ScenarioSpec
 from repro.transport.fec import AdaptiveFecPolicy, FecEncoder
+from repro.vca import cohort
 from repro.vca.cohort import sfu_cohort_downlink
 from repro.vca.jitterbuffer import AdaptiveJitterBuffer, JitterBuffer
 from repro.vca.planner import plan_session
@@ -210,25 +212,54 @@ BOUNDARY = [
     Row("QoeFactors.persona_availability",
         lambda v: QoeFactors(50.0, v, 60.0), "persona_availability",
         fraction()),
+    # --- the SFU fast path used to check these after building every pool
+    # (pool_library 0 divided by zero), and the worker agent not at all.
+    *(Row(f"sfu_cohort_downlink.{name}",
+          lambda v, name=name: sfu_cohort_downlink(2, 3.0, **{name: v}),
+          name, rule, cheap=False)
+      for name, rule in (("pool_library", at_least(1)),
+                         ("window_s", POSITIVE),
+                         ("skip_head_s", NON_NEGATIVE),
+                         ("playout_delay_ms", NON_NEGATIVE),
+                         ("seed", at_least(0)))),
+    *(Row(f"WorkerAgent.{name}",
+          lambda v, name=name: WorkerAgent("unused-store", "w0",
+                                           **{name: v}),
+          name, rule)
+      for name, rule in (("poll_s", POSITIVE),
+                         ("heartbeat_interval_s", POSITIVE),
+                         ("lease_timeout_s", POSITIVE),
+                         ("join_timeout_s", NON_NEGATIVE),
+                         ("idle_exit_s", NON_NEGATIVE))),
 ]
 IDS = [row.label for row in BOUNDARY]
 
 
 @pytest.fixture(scope="module", autouse=True)
 def no_simulation():
-    """Fail any case that reaches an event loop."""
+    """Fail any case that reaches an event loop or builds a pool."""
     def ran(self, until=None):
         raise AssertionError("a simulation ran before the boundary check")
+
+    def built(*args):
+        raise AssertionError("a pool was built before the boundary check")
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Simulator, "run", ran)
         patch.setattr(BatchSimulator, "run", ran)
+        patch.setattr(cohort, "build_semantic_pool", built)
         yield
 
 
 def _refused(row: Row, value: float) -> None:
     with pytest.raises(ValueError, match=re.escape(row.name)):
         row.call(value)
+
+
+@pytest.mark.parametrize("observer", [-1, 3, 99, math.nan])
+def test_sfu_observer_refused_before_any_pool(observer):
+    with pytest.raises(IndexError, match="out of range for n=3"):
+        sfu_cohort_downlink(3, 1.0, observers=[0, observer])
 
 
 @pytest.mark.parametrize("row", BOUNDARY, ids=IDS)

@@ -12,6 +12,7 @@ and ``--repeats`` silently; now it takes the seed and refuses the rest.
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 
@@ -364,3 +365,61 @@ class TestSpecFile:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {path}:3: ")
         assert needle in captured.err
+
+
+#: Every subcommand that takes ``--seed`` (all but validate, worker and
+#: cache), with the positional action scenarios needs.
+SEEDED_COMMANDS = [
+    [command] for command in (
+        "table1", "protocols", "fig4", "content", "rate", "fig5", "fig6",
+        "ablations", "resilience", "campaign", "placement", "gauntlet",
+        "report", "reproduce")
+] + [["scenarios", action] for action in ("generate", "run", "describe")]
+
+
+class TestSeed:
+    """``--seed`` is one non-negative type on every subcommand (``table1
+    --seed -1`` ran, while ``scenarios generate --seed -1`` ended in a
+    traceback from the generator)."""
+
+    def test_every_seeded_command_is_listed(self):
+        parser = build_parser()
+        (sub,) = [action for action in parser._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+        seeded = {name for name, command in sub.choices.items()
+                  if "--seed" in command._option_string_actions}
+        assert seeded == {argv[0] for argv in SEEDED_COMMANDS}
+
+    @pytest.mark.parametrize("argv", SEEDED_COMMANDS, ids=" ".join)
+    def test_seed_must_be_non_negative(self, argv, capsys):
+        assert build_parser().parse_args([*argv, "--seed", "0"]).seed == 0
+        err = _rejected([*argv, "--seed", "-1"], capsys)
+        assert "argument --seed" in err and "must be >= 0" in err
+
+
+class TestSpecFilePath:
+    """A ``--spec-file`` that cannot be read exits 2 naming the path (a
+    missing file used to end in a ``FileNotFoundError`` traceback)."""
+
+    @pytest.mark.parametrize("action", ["run", "generate"])
+    @pytest.mark.parametrize("kind,reason", [
+        ("missing", "No such file or directory"),
+        ("directory", "Is a directory"),
+        ("not-utf8", "can't decode"),
+    ])
+    def test_unreadable_path_named(self, action, kind, reason, tmp_path,
+                                   monkeypatch, capsys):
+        import repro.scenario
+
+        monkeypatch.setattr(repro.scenario, "run_batch", _never_runs)
+        path = tmp_path / "specs.jsonl"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf8":
+            path.write_bytes(b"\xff\xfe{}\n")
+        argv = ["scenarios", action, "--spec-file", str(path)]
+        assert main(argv + (["--no-cache"] if action == "run" else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: ")
+        assert reason in captured.err

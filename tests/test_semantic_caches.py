@@ -67,6 +67,8 @@ from repro.vca.media import (
 from repro.vca.profiles import FACETIME
 from repro.vca.receiver import SemanticReceiver, _reconstructs
 
+from tests.test_motion_block import PerFrameSynthesizer
+
 SECRET = b"cache-secret-000"
 SENDER = "10.0.0.2"
 
@@ -78,9 +80,10 @@ def clear_caches() -> None:
 
 
 def reference_pool(fps, seed, size):
-    """The pool loop as it stood before the shared builder."""
+    """The pool loop as it stood before the shared builder, on the
+    frame-at-a-time synthesizer that block synthesis replaced."""
     codec = SemanticCodec(seed=seed)
-    synth = MotionSynthesizer(fps=fps, seed=seed)
+    synth = PerFrameSynthesizer(fps=fps, seed=seed)
     return [
         codec.encode(frame, include_confidence=False).payload
         for frame in synth.frames(size)
