@@ -5,8 +5,11 @@ Two gates, both asserted before anything is reported:
 * **faults-disabled overhead**: attaching a
   :class:`~repro.faults.cohort.CohortInjector` to a cohort, which seals
   it with *zero* fault events when the timed run starts, must cost < 2%
-  wall clock against the plain cohort engine (min-of-N interleaved
-  runs, so scheduler noise cancels).  The fault layer is
+  wall clock against the plain cohort engine.  The runs are paired: each
+  pair times both variants back to back, the first alternating, with
+  garbage collected before each run and the collector off during it,
+  and the gate reads the median of the per-pair ratios, so drift in the
+  machine's speed cancels within a pair.  The fault layer is
   pay-for-what-you-break: a cohort that schedules nothing must run at
   baseline speed.
 * **vectorized fan-out**: :func:`~repro.faults.domains.
@@ -23,6 +26,8 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import gc
+import statistics
 import sys
 import time
 
@@ -77,26 +82,36 @@ def _cohort_run_s(with_injector: bool, n_lanes: int,
         testbed = default_two_user_testbed()
         runner.add(lambda sim, lane=lane, testbed=testbed: testbed.session(
             profile, seed=lane_seed(0, lane), sim=sim))
-    t_start = time.perf_counter()
-    runner.run(duration_s)  # seals the injector before the first event
-    elapsed = time.perf_counter() - t_start
+    gc.collect()
+    gc.disable()
+    try:
+        t_start = time.perf_counter()
+        runner.run(duration_s)  # seals the injector before the first event
+        elapsed = time.perf_counter() - t_start
+    finally:
+        gc.enable()
     if injector is not None:
         assert injector.sealed and injector.cohort_events_armed == 0
     return elapsed
 
 
-def bench_overhead(n_lanes: int, duration_s: float, repeats: int) -> dict:
-    """Interleaved min-of-N: the fairest overhead estimate wall clocks
-    allow, since both variants ride the same machine weather."""
+def bench_overhead(n_lanes: int, duration_s: float, pairs: int) -> dict:
+    """The median of ``pairs`` per-pair ratios: both variants of a pair
+    ride the same machine weather, and the first of a pair alternates."""
     _cohort_run_s(False, n_lanes, duration_s)  # warm caches
     baseline, armed = [], []
-    for _ in range(repeats):
-        baseline.append(_cohort_run_s(False, n_lanes, duration_s))
-        armed.append(_cohort_run_s(True, n_lanes, duration_s))
-    overhead = min(armed) / min(baseline) - 1.0
-    return {"lanes": n_lanes, "duration_s": duration_s,
-            "baseline_s": min(baseline), "armed_s": min(armed),
-            "overhead": overhead}
+    for pair in range(pairs):
+        times = {}
+        for with_injector in (pair % 2 == 1, pair % 2 == 0):
+            times[with_injector] = _cohort_run_s(with_injector, n_lanes,
+                                                 duration_s)
+        baseline.append(times[False])
+        armed.append(times[True])
+    overhead = statistics.median(
+        a / b for a, b in zip(armed, baseline)) - 1.0
+    return {"lanes": n_lanes, "duration_s": duration_s, "pairs": pairs,
+            "baseline_s": statistics.median(baseline),
+            "armed_s": statistics.median(armed), "overhead": overhead}
 
 
 # ---------------------------------------------------------------------------
@@ -136,18 +151,18 @@ def main(argv=None) -> int:
                         help="CI mode: smaller cohort and fleet")
     args = parser.parse_args(argv)
     if args.quick:
-        overhead_args = (2, 6.0, 5)
+        overhead_args = (2, 6.0, 41)
         fanout_args = (200, 120.0, 20)
     else:
-        overhead_args = (4, 10.0, 4)
+        overhead_args = (4, 10.0, 41)
         fanout_args = (400, 240.0, 20)
     gate_ok = True
 
     row = bench_overhead(*overhead_args)
     print(f"faults-disabled cohort: {row['lanes']} lanes x "
-          f"{row['duration_s']:.0f}s  baseline {row['baseline_s']:.3f}s  "
-          f"sealed-empty injector {row['armed_s']:.3f}s  "
-          f"overhead {row['overhead']:+.2%}")
+          f"{row['duration_s']:.0f}s, {row['pairs']} pairs  median "
+          f"baseline {row['baseline_s']:.3f}s  sealed-empty injector "
+          f"{row['armed_s']:.3f}s  overhead {row['overhead']:+.2%}")
     if row["overhead"] >= MAX_OVERHEAD:
         gate_ok = False
         print(f"  FAIL: overhead {row['overhead']:+.2%} "

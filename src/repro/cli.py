@@ -2,6 +2,7 @@
 
 Each subcommand regenerates one table/figure and prints it in the paper's
 layout; ``report`` runs everything and emits the markdown comparison.
+Each is one record of ``COMMANDS``, which builds the parser and dispatches.
 """
 
 from __future__ import annotations
@@ -9,9 +10,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import importlib
 import signal
 import sys
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import calibration
 from repro.checks import at_least, finite, non_negative, positive
@@ -48,55 +50,72 @@ _wait = _checked(float, non_negative,
                  "must be a finite number of seconds >= 0")
 
 
-def _min_duration(command: str) -> Optional[Tuple[float, str]]:
-    """The shortest value of a subcommand's duration flag, and why (None:
-    any).
-
-    Imported here, not at module level: the analysis and fault packages
-    take about a second to import, which ``--help`` and ``repro worker``
-    should not pay.
-    """
-    from repro.analysis.throughput import MIN_WINDOWED_SESSION_S
-    from repro.faults.schedule import STANDARD_DISTURBANCE_MIN_S
-
-    windowed = (MIN_WINDOWED_SESSION_S, "one throughput window after the "
-                                        "skipped head, with slack")
-    fig6_half = (2 * MIN_WINDOWED_SESSION_S,
-                 "fig6's network half runs at duration / 2")
-    return {
-        "fig4": windowed,
-        "campaign": windowed,
-        "fig6 --cohort-duration": windowed,
-        "fig6": fig6_half,
-        "report": fig6_half,
-        "reproduce": fig6_half,
-        "resilience": (STANDARD_DISTURBANCE_MIN_S, "the standard "
-                       "disturbance's five faults must fit"),
-    }.get(command)
+def _lazy(path: str) -> Any:
+    """The object at ``module:name``, imported when a flag is parsed, not
+    at module level: the analysis, fault and scenario packages take about
+    0.6 s to import, which ``--help`` and ``repro worker`` should not
+    pay."""
+    module, _, name = path.partition(":")
+    return getattr(importlib.import_module(module), name)
 
 
-def _duration(command: str) -> Callable[[str], float]:
-    """The type of one duration flag (see ``_min_duration``)."""
+#: A ``--duration`` floor: a library constant, its multiple, and why.
+Floor = Tuple[str, float, str]
+_WINDOWED: Floor = ("repro.analysis.throughput:MIN_WINDOWED_SESSION_S", 1,
+                    "one throughput window after the skipped head, with "
+                    "slack")
+_FIG6_HALF: Floor = ("repro.analysis.throughput:MIN_WINDOWED_SESSION_S", 2,
+                     "fig6's network half runs at duration / 2")
+_DISTURBANCE: Floor = ("repro.faults.schedule:STANDARD_DISTURBANCE_MIN_S", 1,
+                       "the standard disturbance's five faults must fit")
+
+
+def _duration(command: str, floor: Optional[Floor]) -> Callable[[str], float]:
+    """The type of one duration flag: seconds, at least ``floor``."""
     def parse(text: str) -> float:
         value = _seconds(text)
-        limit = _min_duration(command)
-        if limit is not None and value < limit[0]:
-            raise argparse.ArgumentTypeError(
-                f"{text!r}: {command} needs at least {limit[0]:g} s "
-                f"({limit[1]})")
+        if floor is not None:
+            constant, multiple, why = floor
+            limit = multiple * _lazy(constant)
+            if value < limit:
+                raise argparse.ArgumentTypeError(
+                    f"{text!r}: {command} needs at least {limit:g} s "
+                    f"({why})")
         return value
 
     parse.__name__ = "float"
     return parse
 
 
+def _known(catalog: str) -> Callable[[str], str]:
+    """An argparse type: a name in a library catalog (a mapping, or a
+    function returning the names)."""
+    def parse(text: str) -> str:
+        names = _lazy(catalog)
+        known = list(names() if callable(names) else names)
+        if text not in known:
+            raise argparse.ArgumentTypeError(
+                f"{text!r}: must be one of {', '.join(known)}")
+        return text
+
+    return parse
+
+
 class _NameList(argparse.Action):
-    """Names given space- or comma-separated (``a,b c``), as one list."""
+    """Names given space- or comma-separated (``a,b c``), as one list,
+    each checked by the ``known`` type."""
+
+    def __init__(self, *args, known: Callable[[str], str], **kwargs):
+        super().__init__(*args, **kwargs)
+        self.known = known
 
     def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest,
-                [name for value in values for name in value.split(",")
-                 if name])
+        try:
+            names = [self.known(name) for value in values
+                     for name in value.split(",") if name]
+        except argparse.ArgumentTypeError as exc:
+            raise argparse.ArgumentError(self, str(exc)) from None
+        setattr(namespace, self.dest, names)
 
 
 class _Given(argparse.Action):
@@ -109,88 +128,79 @@ class _Given(argparse.Action):
             self.option_strings[0],)
 
 
-#: The common flags each result subcommand reads, where not all three;
-#: it refuses the others (exit 2).
-_READS = {
-    "table1": "seed repeats", "rate": "seed duration",
-    "ablations": "seed duration", "resilience": "seed duration",
-    "protocols": "seed", "content": "seed", "fig5": "seed",
-    "placement": "seed", "gauntlet": "seed", "scenarios": "seed",
-    "validate": "",
-}
+#: One ``add_argument`` call, as data: the flag names and the keywords.
+_Arg = Tuple[Tuple[str, ...], Dict[str, Any]]
 
 
-def _add_common(parser: argparse.ArgumentParser, command: str) -> None:
-    """Add the common flags ``command`` reads (see ``_READS``)."""
+def _arg(*names: str, **kwargs: Any) -> _Arg:
+    return names, kwargs
+
+
+def _common(name: str, command: _Command) -> List[_Arg]:
+    """The common flags ``command`` reads, in help order."""
     flags = {
-        "seed": dict(type=_count, default=0, help="master seed (>= 0)"),
-        "duration": dict(type=_duration(command), default=20.0,
-                         action=_Given, help="session seconds per run"),
-        "repeats": dict(type=_at_least(1), default=calibration.MIN_REPEATS,
-                        action=_Given,
+        "seed": _arg("--seed", type=_count, default=0,
+                     help="master seed (>= 0)"),
+        "duration": _arg("--duration", type=_duration(name, command.floor),
+                         default=20.0, action=_Given,
+                         help="session seconds per run"),
+        "repeats": _arg("--repeats", type=_at_least(1),
+                        default=calibration.MIN_REPEATS, action=_Given,
                         help="independent repeats per experiment"),
     }
-    for name in _READS.get(command, "seed duration repeats").split():
-        parser.add_argument(f"--{name}", **flags[name])
+    return [flags[flag] for flag in command.reads.split()]
 
 
 #: Flags more than one subcommand takes, declared once; each subcommand
-#: gives its own default through ``_add_shared``.
+#: gives its own defaults through ``_shared``.
 _SHARED = {
-    "--csv": dict(metavar="PATH", help="export the records to this CSV"),
-    "--policies": dict(nargs="+", action=_NameList, metavar="NAME",
-                       help="selection policies to sweep, space- or "
-                            "comma-separated (default: all registered)"),
-    "--regions": dict(type=_at_least(1), metavar="N",
-                      help="limit demand to the N most populous world "
-                           "regions"),
-    "--session-size": dict(type=_at_least(2),
-                           help="participants per telepresence session"),
-    "--site-step": dict(type=_positive, metavar="DEG",
-                        help="global candidate-lattice spacing, degrees"),
+    "csv": dict(metavar="PATH", help="export the records to this CSV"),
+    "policies": dict(nargs="+", action=_NameList, metavar="NAME",
+                     known=_known("repro.geo.policy:policy_names"),
+                     help="selection policies to sweep, space- or "
+                     "comma-separated (default: all registered)"),
+    "regions": dict(type=_at_least(1), metavar="N", help="limit demand to "
+                    "the N most populous world regions"),
+    "session_size": dict(type=_at_least(2),
+                         help="participants per telepresence session"),
+    "site_step": dict(type=_positive, metavar="DEG",
+                      help="global candidate-lattice spacing, degrees"),
 }
 
 
-def _add_shared(parser: argparse.ArgumentParser, **defaults: Any) -> None:
-    """Add shared flags by dest name (``site_step=4.0``), with defaults."""
-    for dest, default in defaults.items():
-        flag = "--" + dest.replace("_", "-")
-        parser.add_argument(flag, default=default, **_SHARED[flag])
+def _shared(**defaults: Any) -> Tuple[_Arg, ...]:
+    """Shared flags by dest name (``site_step=4.0``), with defaults."""
+    return tuple(_arg("--" + dest.replace("_", "-"), default=default,
+                      **_SHARED[dest]) for dest, default in defaults.items())
 
 
-def _add_sweep(parser: argparse.ArgumentParser) -> None:
-    """Flags of the sweep-capable subcommands (parallelism, caching,
-    and crash-safe execution)."""
-    parser.add_argument("--jobs", type=_count, default=1,
-                        help="worker processes (1 = serial)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="recompute every cell, ignore the result cache")
-    parser.add_argument("--cache-dir",
-                        help="result-cache root (default: REPRO_CACHE_DIR "
-                             "or ~/.cache/repro-sweeps)")
-    parser.add_argument("--cell-timeout", type=_seconds, default=None,
-                        metavar="SECONDS",
-                        help="per-cell watchdog deadline; a hung worker is "
-                             "killed and the cell retried as transient")
-    parser.add_argument("--max-retries", type=_count, default=1,
-                        help="transient-failure retries per cell "
-                             "(exponential backoff between attempts)")
-    parser.add_argument("--journal",
-                        help="checkpoint-journal path (campaign default: "
-                             "derived from the sweep fingerprint under the "
-                             "cache root)")
-    parser.add_argument("--resume", action="store_true",
-                        help="replay cells already checkpointed in the "
-                             "journal and run only the remainder")
-    parser.add_argument("--manifest",
-                        help="write the run-manifest JSON to this path")
-    parser.add_argument("--trace", metavar="PATH",
-                        help="emit chrome://tracing-compatible span JSONL "
-                             "to this path (convert with "
-                             "'python -m repro.obs.trace PATH out.json')")
-    parser.add_argument("--metrics", action="store_true",
-                        help="print the metrics-registry snapshot after "
-                             "the run")
+#: Flags of the sweep subcommands (parallelism, caching and crash-safe
+#: execution), whose handlers run under ``_run_sweep``.
+_SWEEP = (
+    _arg("--jobs", type=_count, default=1,
+         help="worker processes (1 = serial)"),
+    _arg("--no-cache", action="store_true",
+         help="recompute every cell, ignore the result cache"),
+    _arg("--cache-dir", help="result-cache root (default: REPRO_CACHE_DIR "
+         "or ~/.cache/repro-sweeps)"),
+    _arg("--cell-timeout", type=_seconds, default=None, metavar="SECONDS",
+         help="per-cell watchdog deadline; a hung worker is killed and the "
+         "cell retried as transient"),
+    _arg("--max-retries", type=_count, default=1,
+         help="transient-failure retries per cell (exponential backoff "
+         "between attempts)"),
+    _arg("--journal", help="checkpoint-journal path (campaign default: "
+         "derived from the sweep fingerprint under the cache root)"),
+    _arg("--resume", action="store_true",
+         help="replay cells already checkpointed in the journal and run "
+         "only the remainder"),
+    _arg("--manifest", help="write the run-manifest JSON to this path"),
+    _arg("--trace", metavar="PATH",
+         help="emit chrome://tracing-compatible span JSONL to this path "
+         "(convert with 'python -m repro.obs.trace PATH out.json')"),
+    _arg("--metrics", action="store_true",
+         help="print the metrics-registry snapshot after the run"),
+)
 
 
 @contextlib.contextmanager
@@ -312,209 +322,13 @@ def _run_sweep(args, sweep: Callable[..., Any], *, journal_path=None,
     return result
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The argparse tree (exposed for tests and docs)."""
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description=(
-            "Reproduce 'A First Look at Immersive Telepresence on Apple "
-            "Vision Pro' (IMC 2024) on the simulated testbed."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("table1", "Table 1: server RTT matrix"),
-        ("protocols", "Sec. 4.1: transport / P2P / anycast findings"),
-        ("fig4", "Fig. 4: two-party throughput per VCA"),
-        ("content", "Sec. 4.3: content-delivery elimination analysis"),
-        ("rate", "Sec. 4.3: rate-adaptation sweep"),
-        ("fig5", "Fig. 5: visibility-aware optimizations"),
-        ("fig6", "Fig. 6: scalability 2-5 users"),
-        ("ablations", "A1-A5 ablations"),
-        ("resilience", "fault gauntlet: recovery, ladder occupancy, MOS"),
-        ("campaign", "automated measurement campaign over a config grid"),
-        ("placement", "planet-scale placement x selection-policy study"),
-        ("gauntlet", "fleet-scale fault gauntlet: correlated domains x "
-                     "policies x fleet sizes"),
-        ("scenarios", "seeded generative workloads: generate / describe / "
-                      "run scenario batches"),
-        ("validate", "re-check every calibrated anchor against the paper"),
-        ("report", "full markdown reproduction report"),
-        ("reproduce", "full report with sharded workers + result cache"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        _add_common(p, name)
-        if name in ("report", "reproduce"):
-            p.add_argument("--quick", action="store_true",
-                           help="short smoke-run settings (fixes "
-                                "--duration and --repeats; takes --seed)")
-            p.add_argument("--output", help="write markdown to this path")
-        if name == "campaign":
-            p.add_argument("--vcas", nargs="+",
-                           default=["FaceTime", "Zoom", "Webex", "Teams"],
-                           help="VCA profiles to sweep")
-            p.add_argument("--users", nargs="+", type=int, default=[2, 3],
-                           help="user counts to sweep")
-            _add_shared(p, csv=None)
-            p.add_argument("--distributed", action="store_true",
-                           help="publish cells to a shared store and let "
-                                "'repro worker' processes execute them "
-                                "(requires --store)")
-            p.add_argument("--store", metavar="DIR",
-                           help="shared store directory for distributed "
-                                "execution (implies --distributed)")
-            p.add_argument("--worker-wait", type=_wait, default=10.0,
-                           metavar="SECONDS",
-                           help="grace period to wait for worker heartbeats "
-                                "before the coordinator executes cells "
-                                "itself")
-        if name == "fig6":
-            p.add_argument("--fanouts", nargs="*", type=_at_least(2),
-                           default=[], metavar="N",
-                           help="also run the batched SFU cohort what-if "
-                                "at these fan-outs (e.g. 50 200 500), "
-                                "using the vectorized cohort engine")
-            p.add_argument("--cohort-duration",
-                           type=_duration("fig6 --cohort-duration"),
-                           default=12.0, metavar="SECONDS",
-                           help="simulated seconds per cohort fan-out")
-            p.add_argument("--server-gbps", type=_positive, default=10.0,
-                           help="SFU NIC rate assumed for the what-if "
-                                "(the 0.3 Gbps testbed AP saturates at "
-                                "n ~ 22)")
-            p.add_argument("--cohort-only", action="store_true",
-                           help="skip the paper panels and run only the "
-                                "batched cohort what-if")
-        if name == "placement":
-            p.add_argument("--users", type=_at_least(2), default=100_000,
-                           help="sampled users per cell (split across the "
-                                "UTC epochs)")
-            p.add_argument("--k-range", nargs="+", type=_at_least(1),
-                           default=[2, 4, 8], metavar="K",
-                           help="server counts to optimize placements for")
-            p.add_argument("--epochs", nargs="+", type=_finite,
-                           default=[2.0, 8.0, 14.0, 20.0], metavar="H",
-                           help="UTC hours to sample demand at")
-            _add_shared(p, policies=None, regions=None, session_size=3,
-                        site_step=4.0, csv=None)
-        if name == "gauntlet":
-            p.add_argument("--scenarios", nargs="+", action=_NameList,
-                           default=["region-outage", "mixed"],
-                           metavar="NAME",
-                           help="fault-domain scenarios to sweep, space- "
-                                "or comma-separated (catalog: "
-                                "region-outage ap-storm brownout "
-                                "flash-crowd mixed none)")
-            p.add_argument("--fleet-sizes", nargs="+", type=_at_least(1),
-                           default=[50, 200], metavar="N",
-                           help="sessions per cell")
-            p.add_argument("--gauntlet-duration", type=_seconds,
-                           default=120.0, metavar="SECONDS",
-                           help="campaign seconds per cell")
-            p.add_argument("--tick", type=_seconds, default=1.0,
-                           metavar="SECONDS",
-                           help="fleet timeline resolution")
-            p.add_argument("--k", type=_at_least(1), default=6,
-                           help="servers in the optimized placement")
-            p.add_argument("--capacity-factor", type=_positive, default=1.2,
-                           help="per-server admission capacity as a "
-                                "multiple of the even-split load")
-            _add_shared(p, policies=None, regions=12, session_size=3,
-                        site_step=8.0, csv=None)
-        if name == "scenarios":
-            p.add_argument("action", choices=("generate", "describe", "run"),
-                           help="generate: emit the spec batch as JSONL; "
-                                "describe: print the distribution library; "
-                                "run: execute the batch on the campaign "
-                                "runner")
-            p.add_argument("--distribution", default="paper-calls",
-                           metavar="NAME",
-                           help="named scenario distribution (see "
-                                "'scenarios describe')")
-            p.add_argument("--count", type=_at_least(1), default=20,
-                           metavar="N",
-                           help="scenarios to generate / run")
-            p.add_argument("--start", type=_count, default=0, metavar="I",
-                           help="first scenario index (batches are an "
-                                "indexed family; generation is "
-                                "index-stable)")
-            p.add_argument("--out", metavar="PATH",
-                           help="write generated JSONL here instead of "
-                                "stdout")
-            p.add_argument("--spec-file", metavar="PATH",
-                           help="run specs from this JSONL file instead of "
-                                "generating them")
-            _add_shared(p, csv=None)
-        if name in ("campaign", "resilience", "reproduce", "placement",
-                    "gauntlet", "scenarios"):
-            _add_sweep(p)
-    _add_worker_parser(sub)
-    _add_cache_parser(sub)
-    return parser
-
-
-def _add_worker_parser(sub) -> None:
-    p = sub.add_parser(
-        "worker",
-        help="join a distributed campaign as a pull-based worker",
-    )
-    p.add_argument("--store", required=True, metavar="DIR",
-                   help="shared store directory published by "
-                        "'repro campaign --distributed --store DIR'")
-    p.add_argument("--id", default=None,
-                   help="worker id (default: host-pid-nonce)")
-    p.add_argument("--poll", type=_seconds, default=0.25, metavar="SECONDS",
-                   help="sleep between claim attempts when idle")
-    p.add_argument("--heartbeat-interval", type=_seconds, default=1.0,
-                   metavar="SECONDS", help="seconds between liveness beacons")
-    p.add_argument("--lease-timeout", type=_seconds, default=None,
-                   metavar="SECONDS",
-                   help="owner-silence span after which a lease is stolen "
-                        "(default: 3x the heartbeat interval)")
-    p.add_argument("--cell-timeout", type=_seconds, default=None,
-                   metavar="SECONDS",
-                   help="self-watchdog: a cell running past this stops the "
-                        "worker's heartbeat so its lease gets taken over")
-    p.add_argument("--max-retries", type=_count, default=1,
-                   help="transient-failure retries per cell")
-    p.add_argument("--join-timeout", type=_wait, default=60.0,
-                   metavar="SECONDS",
-                   help="how long to wait for a campaign to be published")
-    p.add_argument("--idle-exit", type=_wait, default=None,
-                   metavar="SECONDS",
-                   help="exit after this much continuous idleness")
-    p.add_argument("--max-cells", type=_count, default=None,
-                   help="commit at most this many cells, then exit")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress per-cell progress lines")
-
-
-def _add_cache_parser(sub) -> None:
-    parser = sub.add_parser(
-        "cache",
-        help="inspect or garbage-collect the on-disk result cache",
-    )
-    cache_sub = parser.add_subparsers(dest="cache_command", required=True)
-    stats_p = cache_sub.add_parser(
-        "stats", help="entry count, bytes on disk, orphaned temp files")
-    gc_p = cache_sub.add_parser(
-        "gc", help="sweep orphaned temp files and evict corrupt entries")
-    for p in (stats_p, gc_p):
-        p.add_argument("--cache-dir",
-                       help="cache root (default: REPRO_CACHE_DIR or "
-                            "~/.cache/repro-sweeps)")
-    gc_p.add_argument("--orphan-ttl", type=_wait, default=0.0,
-                      metavar="SECONDS",
-                      help="only sweep temp files older than this "
-                           "(default 0: sweep all)")
-
-
 def _cmd_table1(args) -> int:
     from repro.experiments import table1
 
     result = table1.run(repeats=args.repeats, seed=args.seed)
     print(result.format_table())
-    print(f"max cell std: {result.max_std_ms():.1f} ms (paper bound < 7)")
+    print(f"max cell std: {result.max_std_ms():.1f} ms (paper bound "
+          f"< {calibration.TABLE1_RTT_STD_BOUND_MS:g})")
     return 0
 
 
@@ -544,12 +358,16 @@ def _cmd_fig4(args) -> int:
 def _cmd_content(args) -> int:
     from repro.experiments import content_delivery
 
+    draco_mean, draco_std = calibration.DRACO_STREAMING_MBPS
+    keypoint_mean, keypoint_std = calibration.KEYPOINT_STREAMING_MBPS
     mesh = content_delivery.run_mesh_streaming(seed=args.seed)
     print(f"Draco mesh streaming : {mesh.summary.mean:.1f} ± "
-          f"{mesh.summary.std:.1f} Mbps (paper 107.4 ± 14.1)")
+          f"{mesh.summary.std:.1f} Mbps (paper {draco_mean:g} ± "
+          f"{draco_std:g})")
     keypoints = content_delivery.run_keypoint_streaming(seed=args.seed)
     print(f"keypoints + LZMA     : {keypoints.mbps.mean:.3f} ± "
-          f"{keypoints.mbps.std:.3f} Mbps (paper 0.64 ± 0.02)")
+          f"{keypoints.mbps.std:.3f} Mbps (paper {keypoint_mean:g} ± "
+          f"{keypoint_std:g})")
     latency = content_delivery.run_display_latency(seed=args.seed)
     print(f"display-latency invariant: {latency.local_mode_invariant()}")
     return 0
@@ -616,7 +434,7 @@ def _cmd_ablations(args) -> int:
                                      seed=args.seed)
     print(a4.format_table())
     print(f"A4 layered cutoff   : {a4.cutoff_kbps():.0f} Kbps "
-          f"(FaceTime: 700)")
+          f"(FaceTime: {calibration.RATE_ADAPTATION_CUTOFF_KBPS:g})")
     return 0
 
 
@@ -699,10 +517,6 @@ def _cmd_scenarios(args) -> int:
                   f"  {','.join(sorted(set(dist.fault_scenarios)))}")
         return 0
 
-    if args.distribution not in DISTRIBUTIONS:
-        raise SystemExit(f"error: unknown distribution "
-                         f"{args.distribution!r} (known: "
-                         f"{', '.join(DISTRIBUTIONS)})")
     if args.spec_file:
         try:
             with open(args.spec_file) as handle:
@@ -887,38 +701,249 @@ def _cmd_cache(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "table1": _cmd_table1,
-    "protocols": _cmd_protocols,
-    "fig4": _cmd_fig4,
-    "content": _cmd_content,
-    "rate": _cmd_rate,
-    "fig5": _cmd_fig5,
-    "fig6": _cmd_fig6,
-    "ablations": _cmd_ablations,
-    "resilience": _cmd_resilience,
-    "campaign": _cmd_campaign,
-    "placement": _cmd_placement,
-    "gauntlet": _cmd_gauntlet,
-    "scenarios": _cmd_scenarios,
-    "validate": _cmd_validate,
-    "report": _cmd_report,
-    "reproduce": _cmd_report,
-    "worker": _cmd_worker,
-    "cache": _cmd_cache,
+def _quick_alone(args) -> Optional[str]:
+    if args.quick and getattr(args, "given", ()):
+        return f"argument {args.given[0]}: not allowed with --quick"
+    return None
+
+
+def _sessions_fill(args) -> Optional[str]:
+    if args.users < args.session_size:
+        return (f"argument --users: {args.users} users cannot fill one "
+                f"session of --session-size {args.session_size}")
+    return None
+
+
+@dataclasses.dataclass(frozen=True)
+class _Command:
+    """One subcommand: all that ``build_parser`` and ``main`` know of it.
+
+    ``reads`` lists the common flags it takes (it refuses the others);
+    ``flags`` are its own, in help order; ``check`` returns an error when
+    two flags disagree.  ``children`` are sub-subcommands, which the
+    handler tells apart by ``args.<name>_command``.
+    """
+
+    help: str
+    run: Optional[Callable[[argparse.Namespace], int]] = None
+    reads: str = ""
+    floor: Optional[Floor] = None
+    flags: Tuple[_Arg, ...] = ()
+    sweep: bool = False
+    check: Optional[Callable[[argparse.Namespace], Optional[str]]] = None
+    children: Tuple[Tuple[str, _Command], ...] = ()
+
+
+_ALL = "seed duration repeats"
+_REPORT = (
+    _arg("--quick", action="store_true", help="short smoke-run settings "
+         "(fixes --duration and --repeats; takes --seed)"),
+    _arg("--output", help="write markdown to this path"),
+)
+_CACHE_ROOT = _arg("--cache-dir", help="cache root (default: "
+                   "REPRO_CACHE_DIR or ~/.cache/repro-sweeps)")
+
+#: Every subcommand, in help order.
+COMMANDS: Dict[str, _Command] = {
+    "table1": _Command("Table 1: server RTT matrix", _cmd_table1,
+                       reads="seed repeats"),
+    "protocols": _Command("Sec. 4.1: transport / P2P / anycast findings",
+                          _cmd_protocols, reads="seed"),
+    "fig4": _Command("Fig. 4: two-party throughput per VCA", _cmd_fig4,
+                     reads=_ALL, floor=_WINDOWED),
+    "content": _Command("Sec. 4.3: content-delivery elimination analysis",
+                        _cmd_content, reads="seed"),
+    "rate": _Command("Sec. 4.3: rate-adaptation sweep", _cmd_rate,
+                     reads="seed duration"),
+    "fig5": _Command("Fig. 5: visibility-aware optimizations", _cmd_fig5,
+                     reads="seed"),
+    "fig6": _Command(
+        "Fig. 6: scalability 2-5 users", _cmd_fig6, reads=_ALL,
+        floor=_FIG6_HALF, flags=(
+            _arg("--fanouts", nargs="*", type=_at_least(2), default=[],
+                 metavar="N", help="also run the batched SFU cohort what-if "
+                 "at these fan-outs (e.g. 50 200 500), using the vectorized "
+                 "cohort engine"),
+            _arg("--cohort-duration", default=12.0, metavar="SECONDS",
+                 type=_duration("fig6 --cohort-duration", _WINDOWED),
+                 help="simulated seconds per cohort fan-out"),
+            _arg("--server-gbps", type=_positive, default=10.0,
+                 help="SFU NIC rate assumed for the what-if (the 0.3 Gbps "
+                 "testbed AP saturates at n ~ 22)"),
+            _arg("--cohort-only", action="store_true", help="skip the "
+                 "paper panels and run only the batched cohort what-if"),
+        )),
+    "ablations": _Command("A1-A5 ablations", _cmd_ablations,
+                          reads="seed duration"),
+    "resilience": _Command("fault gauntlet: recovery, ladder occupancy, MOS",
+                           _cmd_resilience, reads="seed duration",
+                           floor=_DISTURBANCE, sweep=True),
+    "campaign": _Command(
+        "automated measurement campaign over a config grid", _cmd_campaign,
+        reads=_ALL, floor=_WINDOWED, sweep=True, flags=(
+            _arg("--vcas", nargs="+",
+                 type=_known("repro.vca.profiles:PROFILES"),
+                 default=["FaceTime", "Zoom", "Webex", "Teams"],
+                 help="VCA profiles to sweep"),
+            _arg("--users", nargs="+", type=_at_least(2), default=[2, 3],
+                 help="user counts to sweep"),
+            *_shared(csv=None),
+            _arg("--distributed", action="store_true", help="publish cells "
+                 "to a shared store and let 'repro worker' processes "
+                 "execute them (requires --store)"),
+            _arg("--store", metavar="DIR", help="shared store directory for "
+                 "distributed execution (implies --distributed)"),
+            _arg("--worker-wait", type=_wait, default=10.0,
+                 metavar="SECONDS", help="grace period to wait for worker "
+                 "heartbeats before the coordinator executes cells itself"),
+        )),
+    "placement": _Command(
+        "planet-scale placement x selection-policy study", _cmd_placement,
+        reads="seed", sweep=True, check=_sessions_fill, flags=(
+            _arg("--users", type=_at_least(2), default=100_000,
+                 help="sampled users per cell (split across the UTC "
+                 "epochs)"),
+            _arg("--k-range", nargs="+", type=_at_least(1),
+                 default=[2, 4, 8], metavar="K",
+                 help="server counts to optimize placements for"),
+            _arg("--epochs", nargs="+", type=_finite,
+                 default=[2.0, 8.0, 14.0, 20.0], metavar="H",
+                 help="UTC hours to sample demand at"),
+            *_shared(policies=None, regions=None, session_size=3,
+                     site_step=4.0, csv=None),
+        )),
+    "gauntlet": _Command(
+        "fleet-scale fault gauntlet: correlated domains x policies x fleet "
+        "sizes", _cmd_gauntlet, reads="seed", sweep=True, flags=(
+            _arg("--scenarios", nargs="+", action=_NameList,
+                 known=_known("repro.faults.domains:scenario_names"),
+                 default=["region-outage", "mixed"], metavar="NAME",
+                 help="fault-domain scenarios to sweep, space- or "
+                 "comma-separated (catalog: region-outage ap-storm "
+                 "brownout flash-crowd mixed none)"),
+            _arg("--fleet-sizes", nargs="+", type=_at_least(1),
+                 default=[50, 200], metavar="N", help="sessions per cell"),
+            _arg("--gauntlet-duration", type=_seconds, default=120.0,
+                 metavar="SECONDS", help="campaign seconds per cell"),
+            _arg("--tick", type=_seconds, default=1.0, metavar="SECONDS",
+                 help="fleet timeline resolution"),
+            _arg("--k", type=_at_least(1), default=6,
+                 help="servers in the optimized placement"),
+            _arg("--capacity-factor", type=_positive, default=1.2,
+                 help="per-server admission capacity as a multiple of the "
+                 "even-split load"),
+            *_shared(policies=None, regions=12, session_size=3,
+                     site_step=8.0, csv=None),
+        )),
+    "scenarios": _Command(
+        "seeded generative workloads: generate / describe / run scenario "
+        "batches", _cmd_scenarios, reads="seed", sweep=True, flags=(
+            _arg("action", choices=("generate", "describe", "run"),
+                 help="generate: emit the spec batch as JSONL; describe: "
+                 "print the distribution library; run: execute the batch "
+                 "on the campaign runner"),
+            _arg("--distribution", default="paper-calls", metavar="NAME",
+                 type=_known("repro.scenario:DISTRIBUTIONS"),
+                 help="named scenario distribution (see 'scenarios "
+                 "describe')"),
+            _arg("--count", type=_at_least(1), default=20, metavar="N",
+                 help="scenarios to generate / run"),
+            _arg("--start", type=_count, default=0, metavar="I",
+                 help="first scenario index (batches are an indexed "
+                 "family; generation is index-stable)"),
+            _arg("--out", metavar="PATH",
+                 help="write generated JSONL here instead of stdout"),
+            _arg("--spec-file", metavar="PATH", help="run specs from this "
+                 "JSONL file instead of generating them"),
+            *_shared(csv=None),
+        )),
+    "validate": _Command("re-check every calibrated anchor against the "
+                         "paper", _cmd_validate),
+    "report": _Command("full markdown reproduction report", _cmd_report,
+                       reads=_ALL, floor=_FIG6_HALF, flags=_REPORT,
+                       check=_quick_alone),
+    "reproduce": _Command("full report with sharded workers + result cache",
+                          _cmd_report, reads=_ALL, floor=_FIG6_HALF,
+                          flags=_REPORT, sweep=True, check=_quick_alone),
+    "worker": _Command(
+        "join a distributed campaign as a pull-based worker", _cmd_worker,
+        flags=(
+            _arg("--store", required=True, metavar="DIR", help="shared "
+                 "store directory published by 'repro campaign "
+                 "--distributed --store DIR'"),
+            _arg("--id", help="worker id (default: host-pid-nonce)"),
+            _arg("--poll", type=_seconds, default=0.25, metavar="SECONDS",
+                 help="sleep between claim attempts when idle"),
+            _arg("--heartbeat-interval", type=_seconds, default=1.0,
+                 metavar="SECONDS", help="seconds between liveness beacons"),
+            _arg("--lease-timeout", type=_seconds, default=None,
+                 metavar="SECONDS", help="owner-silence span after which a "
+                 "lease is stolen (default: 3x the heartbeat interval)"),
+            _arg("--cell-timeout", type=_seconds, default=None,
+                 metavar="SECONDS", help="self-watchdog: a cell running "
+                 "past this stops the worker's heartbeat so its lease gets "
+                 "taken over"),
+            _arg("--max-retries", type=_count, default=1,
+                 help="transient-failure retries per cell"),
+            _arg("--join-timeout", type=_wait, default=60.0,
+                 metavar="SECONDS",
+                 help="how long to wait for a campaign to be published"),
+            _arg("--idle-exit", type=_wait, default=None, metavar="SECONDS",
+                 help="exit after this much continuous idleness"),
+            _arg("--max-cells", type=_count, default=None,
+                 help="commit at most this many cells, then exit"),
+            _arg("--quiet", action="store_true",
+                 help="suppress per-cell progress lines"),
+        )),
+    "cache": _Command(
+        "inspect or garbage-collect the on-disk result cache", _cmd_cache,
+        children=(
+            ("stats", _Command("entry count, bytes on disk, orphaned temp "
+                               "files", flags=(_CACHE_ROOT,))),
+            ("gc", _Command(
+                "sweep orphaned temp files and evict corrupt entries",
+                flags=(_CACHE_ROOT, _arg(
+                    "--orphan-ttl", type=_wait, default=0.0,
+                    metavar="SECONDS", help="only sweep temp files older "
+                    "than this (default 0: sweep all)")))),
+        )),
 }
+
+
+def _add_commands(parser, dest: str, commands) -> None:
+    """One subparser per ``(name, record)`` in ``commands``."""
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, command in commands:
+        p = sub.add_parser(name, help=command.help)
+        for names, kwargs in (*_common(name, command), *command.flags,
+                              *(_SWEEP if command.sweep else ())):
+            p.add_argument(*names, **kwargs)
+        if command.children:
+            _add_commands(p, f"{name}_command", command.children)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree (exposed for tests and docs), from ``COMMANDS``."""
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description=(
+            "Reproduce 'A First Look at Immersive Telepresence on Apple "
+            "Vision Pro' (IMC 2024) on the simulated testbed."
+        ),
+    )
+    _add_commands(parser, "command", COMMANDS.items())
+    return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "quick", False) and getattr(args, "given", ()):
-        parser.error(f"argument {args.given[0]}: not allowed with --quick")
-    if args.command == "placement" and args.users < args.session_size:
-        parser.error(f"argument --users: {args.users} users cannot fill one "
-                     f"session of --session-size {args.session_size}")
-    return _COMMANDS[args.command](args)
+    command = COMMANDS[args.command]
+    problem = command.check(args) if command.check else None
+    if problem:
+        parser.error(problem)
+    return command.run(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

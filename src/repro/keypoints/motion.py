@@ -85,24 +85,31 @@ class MotionSynthesizer:
         self._motion = np.zeros(len(_THETA))
         self._blink_timer = self._next_blink()
         self._blink_phase = -1.0  # negative: not blinking
+        self._next_index = 0
 
     def _next_blink(self) -> float:
         # People blink every 3-6 seconds.
         return float(self._rng.uniform(3.0, 6.0))
 
     def frames(self, count: int) -> Iterator[KeypointFrame]:
-        """Yield ``count`` consecutive frames.
+        """Yield the next ``count`` frames: ``frames(a)`` then
+        ``frames(b)`` yields what ``frames(a + b)`` would.
 
         The generator synthesizes the whole block when first advanced;
         each frame's arrays are views into it.
         """
         at_least(count, 1, "count")
         dt = 1.0 / self.fps
-        for index, arrays in enumerate(zip(*self._block(count, dt))):
+        start = self._next_index
+        self._next_index += count
+        for index, arrays in enumerate(zip(*self._block(start, count, dt)),
+                                       start):
             yield KeypointFrame(index, index * dt, *arrays)
 
-    def _block(self, count: int, dt: float) -> Tuple[np.ndarray, ...]:
-        """Face, left-hand and right-hand keypoints of ``count`` frames."""
+    def _block(self, start: int, count: int,
+               dt: float) -> Tuple[np.ndarray, ...]:
+        """Face, left-hand and right-hand keypoints of frames ``start``
+        to ``start + count``."""
         # Per frame: head steps, speech coin, blink time if due, hands, noise.
         rng, normal = self._rng, self._rng.standard_normal
         draws = np.empty((count, len(_THETA) + _FACE + 2 * _HAND))
@@ -131,7 +138,7 @@ class MotionSynthesizer:
 
         face = np.repeat(TEMPLATES["face"][None], count, axis=0)
         # A speech-like mouth envelope at ~4.5 syllables per second.
-        t = np.arange(count) * dt
+        t = np.arange(start, start + count) * dt
         envelope = 0.5 + 0.5 * np.sin(2 * np.pi * 4.5 * t)
         opening = np.where(talking, 0.012 * envelope, 0.001)
         face[:, _LOWER_LIP, 2] -= opening[:, None]

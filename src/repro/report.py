@@ -93,7 +93,8 @@ def table1_section(settings: ReportSettings) -> str:
     rows.append(
         f"Mean |error| vs paper **{np.mean(errors):.1f} ms** "
         f"(worst {max(errors):.1f} ms); max cell std "
-        f"{result.max_std_ms():.1f} ms (paper bound < 7 ms)."
+        f"{result.max_std_ms():.1f} ms (paper bound "
+        f"< {calibration.TABLE1_RTT_STD_BOUND_MS:g} ms)."
     )
     return _section("Table 1 — server RTT matrix (ms)", rows)
 
@@ -141,13 +142,18 @@ def content_section(settings: ReportSettings) -> str:
     mesh, keypoints, latency = run_tasks(
         content_delivery.hypothesis_tasks(settings.seed),
         **settings.sweep_kwargs())
+    draco_mean, draco_std = calibration.DRACO_STREAMING_MBPS
+    keypoint_mean, keypoint_std = calibration.KEYPOINT_STREAMING_MBPS
     rows = [
         f"- Draco mesh streaming: **{mesh.summary.mean:.1f} ± "
-        f"{mesh.summary.std:.1f} Mbps** (paper 107.4 ± 14.1) — ruled out.",
+        f"{mesh.summary.std:.1f} Mbps** (paper {draco_mean:g} ± "
+        f"{draco_std:g}) — ruled out.",
         f"- Keypoints + LZMA: **{keypoints.mbps.mean:.3f} ± "
-        f"{keypoints.mbps.std:.3f} Mbps** (paper 0.64 ± 0.02) — consistent.",
+        f"{keypoints.mbps.std:.3f} Mbps** (paper {keypoint_mean:g} ± "
+        f"{keypoint_std:g}) — consistent.",
         f"- Display-latency diff invariant under 0-1000 ms injected delay: "
-        f"**{latency.local_mode_invariant()}** (paper: < 16 ms).",
+        f"**{latency.local_mode_invariant()}** (paper: "
+        f"< {calibration.DISPLAY_LATENCY_DIFF_BOUND_MS:g} ms).",
     ]
     return _section("Sec. 4.3 — what is being delivered?", rows)
 
@@ -159,7 +165,8 @@ def rate_section(settings: ReportSettings) -> str:
         **settings.sweep_kwargs()))
     rows = ["```", result.format_table(), "```", ""]
     rows.append(
-        f"Cutoff **{result.cutoff_kbps():.0f} Kbps** (paper: 700); "
+        f"Cutoff **{result.cutoff_kbps():.0f} Kbps** (paper: "
+        f"{calibration.RATE_ADAPTATION_CUTOFF_KBPS:g}); "
         f"no rate adaptation: **{result.no_rate_adaptation()}**."
     )
     return _section("Sec. 4.3 — rate adaptation", rows)
@@ -196,7 +203,7 @@ def fig6_section(settings: ReportSettings) -> str:
     rows = ["```", rendering.format_table(), "", network.format_table(), "```",
             ""]
     rows.append(
-        f"GPU p95 at five users > 9 ms: "
+        f"GPU p95 at five users > {fig6.GPU_P95_NEAR_DEADLINE_MS:g} ms: "
         f"**{rendering.gpu_approaches_deadline()}**; downlink linear: "
         f"**{network.grows_linearly()}**."
     )
@@ -229,7 +236,8 @@ def ablations_section(settings: ReportSettings) -> str:
                                 settings.seed), **sweep))
     rows.append(
         f"- **A4** layered semantic codec: available down to "
-        f"{a4.cutoff_kbps():.0f} Kbps (FaceTime: 700 Kbps cliff)."
+        f"{a4.cutoff_kbps():.0f} Kbps (FaceTime: "
+        f"{calibration.RATE_ADAPTATION_CUTOFF_KBPS:g} Kbps cliff)."
     )
     return _section("Ablations", rows)
 

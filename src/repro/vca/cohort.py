@@ -236,10 +236,9 @@ def _semantic_pools(seed: int, n: int,
     Exact :class:`~repro.vca.media.SemanticSource` pools (same per-user
     seeds) for the first ``pool_library`` users; beyond that users cycle
     the library — the documented large-cohort approximation.  Built
-    bypassing the :func:`~repro.vca.media.semantic_pool` cache, although
-    the same seeds do repeat (``fig6.run_network_cohort`` rebuilds one
-    library per fan-out): one cohort's library would flush that 16-entry
-    LRU, which the sessions' sources share.
+    bypassing the :func:`~repro.vca.media.semantic_pool` cache: one
+    cohort's library would flush that 16-entry LRU, which the sessions'
+    sources share.
     """
     fps = float(calibration.TARGET_FPS)
     library: List[List[int]] = []
@@ -351,7 +350,32 @@ def sfu_cohort_downlink(
             (default) admits everyone and is bit-identical to the
             pre-admission fast path.
     """
-    at_least(n, 2, "n")
+    (result,) = _sfu_cohorts((n,), duration_s, seed, observers, window_s,
+                             skip_head_s, pool_library, playout_delay_ms,
+                             server_gbps, admission_limit)
+    return result
+
+
+def _sfu_cohorts(
+    fanouts: Sequence[int],
+    duration_s: float,
+    seed: int = 0,
+    observers: Optional[Sequence[int]] = None,
+    window_s: float = 1.0,
+    skip_head_s: float = 1.0,
+    pool_library: int = 16,
+    playout_delay_ms: float = 20.0,
+    server_gbps: Optional[float] = None,
+    admission_limit: Optional[int] = None,
+) -> List[SfuCohortResult]:
+    """:func:`sfu_cohort_downlink` at each of ``fanouts``, on one library.
+
+    A user's frame pool depends only on the seed and the user index, so
+    the largest fan-out's pools serve every smaller one.  Every
+    parameter of every fan-out is checked before the library is built.
+    """
+    for n in fanouts:
+        at_least(n, 2, "n")
     positive(duration_s, "duration_s")
     non_negative(seed, "seed")
     positive(window_s, "window_s")
@@ -362,12 +386,28 @@ def sfu_cohort_downlink(
         positive(server_gbps, "server_gbps")
     if admission_limit is not None and not admission_limit >= 2:
         raise ValueError("admission_limit must admit at least two users")
-    if observers is None:
-        step = max(1, n // 4)
-        observers = tuple(range(n))[::step][:4]
-    for obs in observers:
-        if not 0 <= obs < n:
-            raise IndexError(f"observer {obs} out of range for n={n}")
+    observed = []
+    for n in fanouts:
+        chosen = (tuple(range(n))[::max(1, n // 4)][:4] if observers is None
+                  else observers)
+        for obs in chosen:
+            if not 0 <= obs < n:
+                raise IndexError(f"observer {obs} out of range for n={n}")
+        observed.append(chosen)
+    pools = _semantic_pools(seed, max(fanouts, default=0), pool_library)
+    return [_sfu_cohort(n, duration_s, seed, chosen, window_s, skip_head_s,
+                        playout_delay_ms, server_gbps, admission_limit,
+                        pools[:n])
+            for n, chosen in zip(fanouts, observed)]
+
+
+def _sfu_cohort(n: int, duration_s: float, seed: int,
+                observers: Sequence[int], window_s: float,
+                skip_head_s: float, playout_delay_ms: float,
+                server_gbps: Optional[float],
+                admission_limit: Optional[int],
+                pools: List[List[int]]) -> SfuCohortResult:
+    """One checked fan-out of :func:`_sfu_cohorts` on its users' pools."""
     facetime = PROFILES["FaceTime"]
     fps = float(calibration.TARGET_FPS)
     rate_bps = calibration.WIFI_AP_MBPS * 1e6
@@ -426,8 +466,6 @@ def sfu_cohort_downlink(
         facetime.audio_bitrate_kbps * 1000 / 8 / 50
     ))
     audio_wire = _quic_chunk_wire_sizes(audio_payload)[0]
-
-    pools = _semantic_pools(seed, n, pool_library)
 
     # ------------------------------------------------------------------
     # Uplinks: per-user schedule -> work-conserving AP service.

@@ -15,7 +15,7 @@ def pytest_addoption(parser):
                          "(tier-1 checks the sweep subcommands only)")
     group.addoption("--regen-golden", action="store_true",
                     help="run every golden case and rewrite "
-                         "tests/golden/digests.json")
+                         "tests/golden/digests.json and help.json")
 
 
 @pytest.fixture(scope="session")

@@ -423,3 +423,56 @@ class TestSpecFilePath:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {path}: ")
         assert reason in captured.err
+
+
+class TestNames:
+    """A bad name or count exits 2 at parse time, naming the flag and,
+    for a name, the known ones.  These used to end in a ``KeyError`` or
+    ``ValueError`` traceback from inside the run (exit 1), or in
+    ``SystemExit`` with status 1 for ``--distribution``."""
+
+    @pytest.mark.parametrize("argv,catalog", [
+        (["campaign", "--vcas", "Zoom", "Skype"], "vcas"),
+        (["gauntlet", "--scenarios", "Skype"], "scenarios"),
+        (["gauntlet", "--scenarios", "region-outage,Skype"], "scenarios"),
+        (["placement", "--policies", "Skype"], "policies"),
+        (["gauntlet", "--policies", "client-nearest", "Skype"], "policies"),
+        (["scenarios", "run", "--distribution", "Skype"], "distributions"),
+    ])
+    def test_unknown_name_lists_the_catalog(self, argv, catalog, capsys):
+        from repro.faults.domains import scenario_names
+        from repro.geo.policy import policy_names
+        from repro.scenario import DISTRIBUTIONS
+        from repro.vca.profiles import PROFILES
+
+        known = {"vcas": list(PROFILES), "scenarios": scenario_names(),
+                 "policies": policy_names(),
+                 "distributions": list(DISTRIBUTIONS)}[catalog]
+        err = _rejected(argv, capsys)
+        flag = next(arg for arg in reversed(argv) if arg.startswith("--"))
+        assert f"argument {flag}: 'Skype': must be one of" in err
+        assert ", ".join(known) in err
+
+    @pytest.mark.parametrize("users", [["1"], ["2", "-2"]])
+    def test_campaign_users_below_two_rejected(self, users, capsys):
+        err = _rejected(["campaign", "--users", *users], capsys)
+        assert "argument --users" in err and "must be >= 2" in err
+
+    def test_nothing_runs_before_the_check(self, monkeypatch, capsys):
+        import repro.scenario
+
+        monkeypatch.setattr(repro.scenario, "run_batch", _never_runs)
+        with pytest.raises(SystemExit) as exc:
+            main(["scenarios", "run", "--distribution", "nope",
+                  "--no-cache"])
+        assert exc.value.code == 2
+        assert "argument --distribution" in capsys.readouterr().err
+
+    def test_gauntlet_help_lists_the_scenario_catalog(self):
+        from repro.faults.domains import scenario_names
+
+        (sub,) = [action for action in build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+        flag = sub.choices["gauntlet"]._option_string_actions["--scenarios"]
+        listed = flag.help.split("(catalog: ")[1].rstrip(")").split()
+        assert tuple(listed) == tuple(scenario_names())

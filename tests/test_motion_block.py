@@ -6,9 +6,10 @@ run per frame, and the geometry is array math over frames.  The
 reference below is the synthesizer it replaced, kept verbatim: one
 ``_frame`` per frame, each stepping three Ornstein–Uhlenbeck processes,
 animating mouth and blink, and rotating the face with its own 3x3
-matrix.  Every case compares the two with exact ``array_equal``, and
-then compares the synthesizers' next random draw, so the state a call
-leaves behind matches too.  If a platform's batched ``sin``/``cos`` or
+matrix.  Every case reads the block synthesizer in one or more calls,
+compares the frames with the reference's one contiguous read with exact
+``array_equal``, and then compares the synthesizers' next random draw,
+so the state the calls leave behind matches too.  If a platform's batched ``sin``/``cos`` or
 ``matmul`` ever differs from the per-frame calls, that piece of the
 block must be computed per frame; the comparison stays exact.
 """
@@ -166,30 +167,35 @@ def assert_same_frames(got, expected) -> None:
 
 
 def assert_same_calls(counts, fps=90.0, seed=0, speech_activity=0.6) -> None:
-    """``frames(c)`` for each ``c`` in turn on one synthesizer of each
-    kind, then their next random draw."""
+    """``frames(c)`` for each ``c`` in turn on the block synthesizer
+    equals ``frames(sum(counts))`` on the reference; then their next
+    random draw."""
     block = MotionSynthesizer(fps, seed, speech_activity)
     oracle = PerFrameSynthesizer(fps, seed, speech_activity)
-    for count in counts:
-        assert_same_frames(list(block.frames(count)),
-                           list(oracle.frames(count)))
+    got = [frame for count in counts for frame in block.frames(count)]
+    assert_same_frames(got, list(oracle.frames(sum(counts))))
     assert block._rng.random() == oracle._rng.random()
 
 
-@pytest.mark.parametrize("fps,speech_activity",
-                         list(product([90.0, 60.0, 30.0, 7.5, 89.7],
-                                      [0.0, 0.35, 0.6, 1.0])))
+GRID = list(product([90.0, 60.0, 30.0, 7.5, 89.7], [0.0, 0.35, 0.6, 1.0]))
+
+
+@pytest.mark.parametrize("fps,speech_activity", GRID)
 @pytest.mark.parametrize("count", [1, 7, 257, 2000])
 def test_block_equals_per_frame(fps, speech_activity, count):
     assert_same_calls([count], fps=fps, seed=count,
                       speech_activity=speech_activity)
 
 
-def test_split_calls_carry_the_state():
-    """Each call restarts index and timestamp at 0 but carries the
-    motion, the blink timer and the generator."""
-    assert_same_calls([10, 3])
-    assert_same_calls([10, 3], fps=30.0, seed=11)
+@pytest.mark.parametrize("fps,speech_activity", GRID)
+@pytest.mark.parametrize("counts", [[10, 3], [1, 256]],
+                         ids=lambda counts: "+".join(map(str, counts)))
+def test_split_reads_equal_one_contiguous_read(fps, speech_activity, counts):
+    """A read continues where the last one stopped: indices, timestamps
+    and the mouth envelope's phase run on with the motion, the blink
+    timer and the generator."""
+    assert_same_calls(counts, fps=fps, seed=sum(counts),
+                      speech_activity=speech_activity)
 
 
 def test_a_blink_spans_two_calls():
@@ -206,10 +212,9 @@ def test_a_generator_draws_its_block_when_first_advanced():
     frames on (the whole block was drawn)."""
     block = MotionSynthesizer(seed=4)
     first = next(block.frames(5))
-    oracle = PerFrameSynthesizer(seed=4)
-    expected = list(oracle.frames(5))
+    expected = list(PerFrameSynthesizer(seed=4).frames(8))
     assert_same_frames([first], expected[:1])
-    assert_same_frames(list(block.frames(3)), list(oracle.frames(3)))
+    assert_same_frames(list(block.frames(3)), expected[5:])
 
 
 def test_frames_are_views_into_one_block():

@@ -55,7 +55,7 @@ from repro.transport.quic import (
     _keystream_pad,
     parse_header,
 )
-from repro.vca import media
+from repro.vca import cohort, media
 from repro.vca.cohort import CohortRunner, _semantic_pools, sfu_cohort_downlink
 from repro.vca.media import (
     LayeredSemanticSource,
@@ -193,6 +193,28 @@ class TestSemanticPool:
         after = semantic_pool.cache_info()
         assert after.currsize == before.currsize
         assert (after.hits, after.misses) == (before.hits, before.misses)
+
+    def test_fig6_fanouts_share_one_library(self, monkeypatch):
+        """Three fan-outs past the 16-pool library build 16 pools, not
+        16 each."""
+        from repro.experiments import fig6
+
+        built = []
+
+        def counted(*key):
+            built.append(key)
+            return build_semantic_pool(*key)
+
+        monkeypatch.setattr(cohort, "build_semantic_pool", counted)
+        fig6.run_network_cohort(fanouts=(16, 20, 24), duration_s=3.0)
+        assert len(built) == len(set(built)) == 16
+
+    def test_shared_library_equals_one_library_per_fanout(self):
+        """Fan-outs below, at and past the library size cycle the shared
+        library exactly as their own would."""
+        shared = cohort._sfu_cohorts((2, 3, 5), 3.0, seed=1, pool_library=3)
+        assert shared == [sfu_cohort_downlink(n, 3.0, seed=1, pool_library=3)
+                          for n in (2, 3, 5)]
 
 
 def session_digest(result):
