@@ -101,7 +101,22 @@ def _known(catalog: str) -> Callable[[str], str]:
     return parse
 
 
-class _NameList(argparse.Action):
+class _Cells(argparse.Action):
+    """A list whose values each become cells: a repeated value would run
+    its cells twice under one label, so it is refused."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, self.distinct(values))
+
+    def distinct(self, values: List[Any]) -> List[Any]:
+        for index, value in enumerate(values):
+            if value in values[:index]:
+                raise argparse.ArgumentError(
+                    self, f"{value!r}: given twice (each value is a cell)")
+        return values
+
+
+class _NameList(_Cells):
     """Names given space- or comma-separated (``a,b c``), as one list,
     each checked by the ``known`` type."""
 
@@ -115,17 +130,23 @@ class _NameList(argparse.Action):
                      for name in value.split(",") if name]
         except argparse.ArgumentTypeError as exc:
             raise argparse.ArgumentError(self, str(exc)) from None
-        setattr(namespace, self.dest, names)
+        setattr(namespace, self.dest, self.distinct(names))
 
 
 class _Given(argparse.Action):
-    """Store the value and note the flag as given (``--quick`` refuses
-    an explicit ``--duration`` or ``--repeats``)."""
+    """Store the value (``const`` for a switch, ``nargs=0``) and note the
+    flag as given: ``--quick`` refuses an explicit ``--duration`` or
+    ``--repeats``, and ``scenarios`` the flags its action does not read."""
 
     def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
+        setattr(namespace, self.dest, self.const if self.nargs == 0 else values)
         namespace.given = getattr(namespace, "given", ()) + (
             self.option_strings[0],)
+
+
+def _given(args) -> Tuple[str, ...]:
+    """The ``_Given`` flags on the command line, in order."""
+    return getattr(args, "given", ())
 
 
 #: One ``add_argument`` call, as data: the flag names and the keywords.
@@ -139,7 +160,7 @@ def _arg(*names: str, **kwargs: Any) -> _Arg:
 def _common(name: str, command: _Command) -> List[_Arg]:
     """The common flags ``command`` reads, in help order."""
     flags = {
-        "seed": _arg("--seed", type=_count, default=0,
+        "seed": _arg("--seed", type=_count, default=0, action=_Given,
                      help="master seed (>= 0)"),
         "duration": _arg("--duration", type=_duration(name, command.floor),
                          default=20.0, action=_Given,
@@ -154,7 +175,8 @@ def _common(name: str, command: _Command) -> List[_Arg]:
 #: Flags more than one subcommand takes, declared once; each subcommand
 #: gives its own defaults through ``_shared``.
 _SHARED = {
-    "csv": dict(metavar="PATH", help="export the records to this CSV"),
+    "csv": dict(metavar="PATH", action=_Given,
+                help="export the records to this CSV"),
     "policies": dict(nargs="+", action=_NameList, metavar="NAME",
                      known=_known("repro.geo.policy:policy_names"),
                      help="selection policies to sweep, space- or "
@@ -174,32 +196,37 @@ def _shared(**defaults: Any) -> Tuple[_Arg, ...]:
                       **_SHARED[dest]) for dest, default in defaults.items())
 
 
+def _switch(name: str, help: str) -> _Arg:
+    """A ``store_true`` flag that notes itself as given."""
+    return _arg(name, action=_Given, nargs=0, const=True, default=False,
+                help=help)
+
+
 #: Flags of the sweep subcommands (parallelism, caching and crash-safe
 #: execution), whose handlers run under ``_run_sweep``.
 _SWEEP = (
-    _arg("--jobs", type=_count, default=1,
+    _arg("--jobs", type=_count, default=1, action=_Given,
          help="worker processes (1 = serial)"),
-    _arg("--no-cache", action="store_true",
-         help="recompute every cell, ignore the result cache"),
-    _arg("--cache-dir", help="result-cache root (default: REPRO_CACHE_DIR "
-         "or ~/.cache/repro-sweeps)"),
+    _switch("--no-cache", "recompute every cell, ignore the result cache"),
+    _arg("--cache-dir", action=_Given, help="result-cache root (default: "
+         "REPRO_CACHE_DIR or ~/.cache/repro-sweeps)"),
     _arg("--cell-timeout", type=_seconds, default=None, metavar="SECONDS",
-         help="per-cell watchdog deadline; a hung worker is killed and the "
-         "cell retried as transient"),
-    _arg("--max-retries", type=_count, default=1,
+         action=_Given, help="per-cell watchdog deadline; a hung worker is "
+         "killed and the cell retried as transient"),
+    _arg("--max-retries", type=_count, default=1, action=_Given,
          help="transient-failure retries per cell (exponential backoff "
          "between attempts)"),
-    _arg("--journal", help="checkpoint-journal path (campaign default: "
-         "derived from the sweep fingerprint under the cache root)"),
-    _arg("--resume", action="store_true",
-         help="replay cells already checkpointed in the journal and run "
-         "only the remainder"),
-    _arg("--manifest", help="write the run-manifest JSON to this path"),
-    _arg("--trace", metavar="PATH",
+    _arg("--journal", action=_Given, help="checkpoint-journal path "
+         "(campaign default: derived from the sweep fingerprint under the "
+         "cache root)"),
+    _switch("--resume", "replay cells already checkpointed in the journal "
+            "and run only the remainder"),
+    _arg("--manifest", action=_Given,
+         help="write the run-manifest JSON to this path"),
+    _arg("--trace", metavar="PATH", action=_Given,
          help="emit chrome://tracing-compatible span JSONL to this path "
          "(convert with 'python -m repro.obs.trace PATH out.json')"),
-    _arg("--metrics", action="store_true",
-         help="print the metrics-registry snapshot after the run"),
+    _switch("--metrics", "print the metrics-registry snapshot after the run"),
 )
 
 
@@ -702,8 +729,27 @@ def _cmd_cache(args) -> int:
 
 
 def _quick_alone(args) -> Optional[str]:
-    if args.quick and getattr(args, "given", ()):
-        return f"argument {args.given[0]}: not allowed with --quick"
+    fixed = [flag for flag in _given(args)
+             if flag in ("--duration", "--repeats")]
+    if args.quick and fixed:
+        return f"argument {fixed[0]}: not allowed with --quick"
+    return None
+
+
+#: The flags ``scenarios generate`` reads; ``describe`` reads none of
+#: its flags and ``run`` all of them.
+_GENERATE_READS = ("--seed", "--distribution", "--count", "--start", "--out",
+                   "--spec-file")
+
+
+def _action_reads(args) -> Optional[str]:
+    if args.action == "run":
+        return None
+    reads = _GENERATE_READS if args.action == "generate" else ()
+    unread = [flag for flag in _given(args) if flag not in reads]
+    if unread:
+        return (f"argument {unread[0]}: not read by 'scenarios "
+                f"{args.action}'")
     return None
 
 
@@ -761,6 +807,7 @@ COMMANDS: Dict[str, _Command] = {
         "Fig. 6: scalability 2-5 users", _cmd_fig6, reads=_ALL,
         floor=_FIG6_HALF, flags=(
             _arg("--fanouts", nargs="*", type=_at_least(2), default=[],
+                 action=_Cells,
                  metavar="N", help="also run the batched SFU cohort what-if "
                  "at these fan-outs (e.g. 50 200 500), using the vectorized "
                  "cohort engine"),
@@ -781,11 +828,12 @@ COMMANDS: Dict[str, _Command] = {
     "campaign": _Command(
         "automated measurement campaign over a config grid", _cmd_campaign,
         reads=_ALL, floor=_WINDOWED, sweep=True, flags=(
-            _arg("--vcas", nargs="+",
+            _arg("--vcas", nargs="+", action=_Cells,
                  type=_known("repro.vca.profiles:PROFILES"),
                  default=["FaceTime", "Zoom", "Webex", "Teams"],
                  help="VCA profiles to sweep"),
             _arg("--users", nargs="+", type=_at_least(2), default=[2, 3],
+                 action=_Cells,
                  help="user counts to sweep"),
             *_shared(csv=None),
             _arg("--distributed", action="store_true", help="publish cells "
@@ -837,24 +885,29 @@ COMMANDS: Dict[str, _Command] = {
         )),
     "scenarios": _Command(
         "seeded generative workloads: generate / describe / run scenario "
-        "batches", _cmd_scenarios, reads="seed", sweep=True, flags=(
+        "batches", _cmd_scenarios, reads="seed", sweep=True,
+        check=_action_reads, flags=(
             _arg("action", choices=("generate", "describe", "run"),
                  help="generate: emit the spec batch as JSONL; describe: "
                  "print the distribution library; run: execute the batch "
                  "on the campaign runner"),
             _arg("--distribution", default="paper-calls", metavar="NAME",
+                 action=_Given,
                  type=_known("repro.scenario:DISTRIBUTIONS"),
                  help="named scenario distribution (see 'scenarios "
                  "describe')"),
             _arg("--count", type=_at_least(1), default=20, metavar="N",
+                 action=_Given,
                  help="scenarios to generate / run"),
             _arg("--start", type=_count, default=0, metavar="I",
+                 action=_Given,
                  help="first scenario index (batches are an indexed "
                  "family; generation is index-stable)"),
-            _arg("--out", metavar="PATH",
+            _arg("--out", metavar="PATH", action=_Given,
                  help="write generated JSONL here instead of stdout"),
-            _arg("--spec-file", metavar="PATH", help="run specs from this "
-                 "JSONL file instead of generating them"),
+            _arg("--spec-file", metavar="PATH", action=_Given,
+                 help="run specs from this JSONL file instead of generating "
+                 "them"),
             *_shared(csv=None),
         )),
     "validate": _Command("re-check every calibrated anchor against the "

@@ -46,45 +46,42 @@ def _sphere_grid(n_lat: int, n_lon: int) -> Tuple[np.ndarray, np.ndarray]:
     north_idx = len(ring_vertices)
     south_idx = north_idx + 1
 
-    faces: List[Tuple[int, int, int]] = []
-
-    def ring(i: int, j: int) -> int:
-        return i * n_lon + (j % n_lon)
-
-    for j in range(n_lon):  # north pole fan
-        faces.append((north_idx, ring(0, j), ring(0, j + 1)))
-    for i in range(n_lat - 1):  # bands between rings: 2 triangles per quad
-        for j in range(n_lon):
-            a, b = ring(i, j), ring(i, j + 1)
-            c, d = ring(i + 1, j), ring(i + 1, j + 1)
-            faces.append((a, c, b))
-            faces.append((b, c, d))
-    for j in range(n_lon):  # south pole fan
-        faces.append((south_idx, ring(n_lat - 1, j + 1), ring(n_lat - 1, j)))
-
-    return vertices, np.asarray(faces, dtype=np.int32)
+    # Vertex ``j`` of ring ``i`` is ``i * n_lon + j``; ``nxt`` wraps around.
+    j = np.arange(n_lon)
+    nxt = (j + 1) % n_lon
+    ring = np.arange(n_lat - 1)[:, None] * n_lon
+    a, b = ring + j, ring + nxt      # quad corners (i, j), (i, j + 1)
+    c, d = a + n_lon, b + n_lon      # (i + 1, j), (i + 1, j + 1)
+    last = (n_lat - 1) * n_lon
+    faces = np.concatenate([
+        np.stack([np.full(n_lon, north_idx), j, nxt], axis=1),  # north fan
+        # Bands between rings: each quad is triangles acb then bcd.
+        np.stack([a, c, b, b, c, d], axis=-1).reshape(-1, 3),
+        np.stack([np.full(n_lon, south_idx), last + nxt, last + j],
+                 axis=1),                                       # south fan
+    ])
+    return vertices, faces.astype(np.int32)
 
 
 def _split_faces(vertices: np.ndarray, faces: np.ndarray, n_splits: int,
                  rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
-    """Centroid-split ``n_splits`` distinct faces; each split adds 2 faces."""
+    """Centroid-split ``n_splits`` distinct faces; each split adds 2 faces.
+
+    Split face ``ijk`` becomes ``ijc`` in place, and ``jkc`` and ``kic``
+    are appended, split by split in draw order.
+    """
     if n_splits == 0:
         return vertices, faces
     chosen = rng.choice(len(faces), size=n_splits, replace=False)
-    new_vertices = [vertices]
-    new_faces = list(faces)
-    next_index = len(vertices)
-    for count, face_index in enumerate(chosen):
-        i, j, k = faces[face_index]
-        centroid = (vertices[i] + vertices[j] + vertices[k]) / 3.0
-        new_vertices.append(centroid[None, :])
-        c = next_index + count
-        new_faces[face_index] = (i, j, c)
-        new_faces.append((j, k, c))
-        new_faces.append((k, i, c))
+    i, j, k = faces[chosen].T
+    centroids = (vertices[i] + vertices[j] + vertices[k]) / 3.0
+    c = np.arange(len(vertices), len(vertices) + n_splits, dtype=np.int32)
+    split = faces.copy()
+    split[chosen] = np.stack([i, j, c], axis=1)
+    appended = np.stack([j, k, c, k, i, c], axis=1).reshape(-1, 3)
     return (
-        np.concatenate(new_vertices),
-        np.asarray(new_faces, dtype=np.int32),
+        np.concatenate([vertices, centroids]),
+        np.concatenate([split, appended]),
     )
 
 
@@ -125,10 +122,13 @@ def _scan_like(vertices: np.ndarray, faces: np.ndarray, seed: int,
     rng = np.random.default_rng(seed + 7)
     n = len(vertices)
     perm = np.arange(n)
-    for start in range(0, n, shuffle_window):
-        segment = perm[start:start + shuffle_window].copy()
-        rng.shuffle(segment)
-        perm[start:start + shuffle_window] = segment
+    # One ``shuffle`` per window, in order: the whole windows in place, as
+    # rows of a view of ``perm``, then the short tail if there is one.
+    full = n - n % shuffle_window
+    for window in perm[:full].reshape(-1, shuffle_window):
+        rng.shuffle(window)
+    if full < n:
+        rng.shuffle(perm[full:])
     inverse = np.empty(n, dtype=np.int64)
     inverse[perm] = np.arange(n)
     noisy = vertices[perm] + rng.normal(0.0, detail_noise_m, (n, 3))

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.checks import at_least
 from repro.mesh.model import TriangleMesh
@@ -62,6 +61,8 @@ def surface_distance(reference: TriangleMesh, candidate: TriangleMesh,
     cheap and monotone in actual deviation, which is all LOD comparisons
     need.
     """
+    from scipy.spatial import cKDTree
+
     points = sample_surface(reference, n_samples, seed)
     tree = cKDTree(candidate.vertices)
     distances, _ = tree.query(points, k=1)

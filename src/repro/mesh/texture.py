@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import lzma
 
 import numpy as np
-from scipy.fftpack import dctn, idctn
 
 from repro.checks import fraction
 
@@ -104,6 +103,8 @@ class TextureCodec:
 
     def encode(self, atlas: TextureAtlas) -> bytes:
         """Compress the atlas; returns the full payload bytes."""
+        from scipy.fftpack import dctn
+
         coded = []
         for c in range(3):
             plane = atlas.pixels[:, :, c] * 255.0 - 128.0
@@ -124,6 +125,8 @@ class TextureCodec:
         """
         if len(payload) < 5:
             raise ValueError("truncated texture payload")
+        from scipy.fftpack import idctn
+
         resolution = int.from_bytes(payload[:4], "little")
         raw = lzma.decompress(
             payload[5:], format=lzma.FORMAT_RAW, filters=_LZMA_FILTERS

@@ -8,8 +8,10 @@ and what fraction of the display it covers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import Tuple
 
 import numpy as np
 
@@ -44,13 +46,25 @@ def _normalize(v: np.ndarray) -> np.ndarray:
     return v / norm
 
 
+def _unit(x: float, y: float, z: float) -> Tuple[float, float, float]:
+    """:func:`_normalize` on three floats, with the same zero-vector and
+    NaN check.  The norm may differ from numpy's in the last bit (BLAS
+    sums the squares in its own order), so only yes/no tests use it."""
+    norm = math.sqrt(x * x + y * y + z * z)
+    if not norm >= 1e-12:
+        raise ValueError("cannot normalize a zero vector")
+    return x / norm, y / norm, z / norm
+
+
 @dataclass
 class Camera:
     """The viewer's head pose: position plus forward direction.
 
     The view frustum is centered on ``forward``; gaze (eye direction) is
     tracked separately by :class:`repro.rendering.gaze.AttentionModel`
-    because eyes move within a stationary head.
+    because eyes move within a stationary head.  A camera is one pose:
+    the frustum's axes are derived from ``forward`` once, so turn a head
+    by building a new camera (as :meth:`turned_toward` does).
     """
 
     position: np.ndarray = field(default_factory=lambda: np.zeros(3))
@@ -73,25 +87,42 @@ class Camera:
         cos = float(np.clip(np.dot(self.direction_to(point), self.forward), -1, 1))
         return math.degrees(math.acos(cos))
 
+    @functools.cached_property
+    def _axes(self) -> Tuple[float, ...]:
+        """Forward, right and up, as nine floats: the frustum's frame.
+
+        Computed once per camera, on first use: ``in_viewport`` runs once
+        per persona per frame, and numpy's ``cross`` on 3-vectors costs
+        tens of microseconds.  A zero or NaN right axis raises the
+        ``ValueError`` from ``in_viewport``, not from the constructor.
+        """
+        fx, fy, fz = self.forward.tolist()
+        # The up hint is world z, or world y when forward is within ~8
+        # degrees of vertical (|forward . z| > 0.99).
+        hx, hy, hz = (0.0, 1.0, 0.0) if abs(fz) > 0.99 else (0.0, 0.0, 1.0)
+        # right = unit(forward x hint), up = right x forward.
+        rx, ry, rz = _unit(fy * hz - fz * hy, fz * hx - fx * hz,
+                           fx * hy - fy * hx)
+        return (fx, fy, fz, rx, ry, rz,
+                ry * fz - rz * fy, rz * fx - rx * fz, rx * fy - ry * fx)
+
     def in_viewport(self, point: np.ndarray, margin_deg: float = 0.0) -> bool:
         """Whether ``point`` lies inside the (elliptical) view frustum.
 
         ``margin_deg`` widens (positive) or narrows (negative) the frustum,
         modeling the guard band renderers keep around the visible region.
+        The test runs on Python floats; its floats may differ from numpy's
+        in the last bit, so they never leave this method.
         """
-        direction = self.direction_to(point)
-        forward = self.forward
-        # Build a local frame: forward, right, up.
-        up_hint = np.array([0.0, 0.0, 1.0])
-        if abs(np.dot(forward, up_hint)) > 0.99:
-            up_hint = np.array([0.0, 1.0, 0.0])
-        right = _normalize(np.cross(forward, up_hint))
-        up = np.cross(right, forward)
-        x = float(np.dot(direction, forward))
+        px, py, pz = np.asarray(point, dtype=np.float64).tolist()
+        cx, cy, cz = self.position.tolist()
+        dx, dy, dz = _unit(px - cx, py - cy, pz - cz)
+        fx, fy, fz, rx, ry, rz, ux, uy, uz = self._axes
+        x = dx * fx + dy * fy + dz * fz
         if x <= 0:
             return False
-        yaw = math.degrees(math.atan2(float(np.dot(direction, right)), x))
-        pitch = math.degrees(math.atan2(float(np.dot(direction, up)), x))
+        yaw = math.degrees(math.atan2(dx * rx + dy * ry + dz * rz, x))
+        pitch = math.degrees(math.atan2(dx * ux + dy * uy + dz * uz, x))
         half_h = FOV_HORIZONTAL_DEG / 2.0 + margin_deg
         half_v = FOV_VERTICAL_DEG / 2.0 + margin_deg
         return (yaw / half_h) ** 2 + (pitch / half_v) ** 2 <= 1.0

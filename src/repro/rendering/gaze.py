@@ -117,6 +117,11 @@ class AttentionModel:
         self._dwell_left = self._draw_dwell()
         self._saccade_left = 0.0
         self._head_angle = 0.0
+        # Personas hold still: each frame's views share one read-only
+        # position array per persona instead of building it again.
+        self._positions = [p.position for p in self.personas]
+        for position in self._positions:
+            position.setflags(write=False)
 
     def _draw_dwell(self) -> float:
         return float(self._rng.exponential(self.mean_dwell_s))
@@ -165,10 +170,10 @@ class AttentionModel:
         views = [
             PersonaView(
                 persona_id=p.persona_id,
-                position=p.position,
+                position=position,
                 gaze_eccentricity_deg=abs(p.angle_deg - gaze),
             )
-            for p in self.personas
+            for p, position in zip(self.personas, self._positions)
         ]
         return GazeSample(camera=camera, views=views, gaze_angle_deg=gaze)
 

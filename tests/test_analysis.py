@@ -1,5 +1,9 @@
 """Statistics, throughput extraction, and the protocol classifier."""
 
+import json
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -15,6 +19,31 @@ from repro.geo.regions import city
 from repro.geo.servers import ALL_FLEETS
 from repro.netsim.capture import CapturedPacket, Direction, PacketCapture
 from repro.netsim.packet import IPPROTO_UDP
+
+
+#: Imports the package's entry points, lists the scipy modules loaded,
+#: then the modules a first summary adds.
+_FOOTPRINT = """
+import json, sys
+import repro.report, repro.scenario, repro.core.cache, repro.core.journal
+import repro.obs.metrics
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+before = set(sys.modules)
+from repro.analysis.stats import summarize_samples
+summarize_samples([1.0, 2.0, 3.0])
+print(json.dumps({"scipy": scipy, "added": sorted(set(sys.modules) - before)}))
+"""
+
+
+class TestImportFootprint:
+    def test_no_scipy_and_no_import_inside_a_summary(self):
+        """scipy loads only inside the functions that call it (texture
+        codec, surface distance, playout budget), and the first summary
+        imports nothing (``numpy.ma`` is loaded with the package)."""
+        done = subprocess.run([sys.executable, "-c", _FOOTPRINT],
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == {"scipy": [], "added": []}
 
 
 class TestSummaryStats:

@@ -476,3 +476,87 @@ class TestNames:
         flag = sub.choices["gauntlet"]._option_string_actions["--scenarios"]
         listed = flag.help.split("(catalog: ")[1].rstrip(")").split()
         assert tuple(listed) == tuple(scenario_names())
+
+
+def _refused(argv, capsys) -> str:
+    """Exit 2 from ``main`` (a record's check), nothing on stdout."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
+class TestCellLists:
+    """A repeated value in a list flag whose values become cells exits 2
+    naming the value (``campaign --vcas Zoom Zoom`` used to run two Zoom
+    cells, both labelled ``repeat 0``)."""
+
+    @pytest.mark.parametrize("argv,flag,value", [
+        (["campaign", "--vcas", "Zoom", "Zoom"], "--vcas", "'Zoom'"),
+        (["campaign", "--vcas", "Zoom", "Webex", "Zoom"], "--vcas", "'Zoom'"),
+        (["campaign", "--users", "2", "3", "2"], "--users", "2"),
+        (["fig6", "--fanouts", "50", "50"], "--fanouts", "50"),
+        (["placement", "--policies", "client-nearest,client-nearest"],
+         "--policies", "'client-nearest'"),
+        (["gauntlet", "--policies", "client-nearest", "client-nearest"],
+         "--policies", "'client-nearest'"),
+        (["gauntlet", "--scenarios", "mixed", "region-outage,mixed"],
+         "--scenarios", "'mixed'"),
+    ])
+    def test_repeat_refused(self, argv, flag, value, capsys):
+        err = _rejected(argv, capsys)
+        assert f"argument {flag}: {value}: given twice" in err
+
+    def test_distinct_values_parse(self):
+        args = build_parser().parse_args(
+            ["campaign", "--vcas", "Zoom", "Webex", "--users", "2", "3"])
+        assert (args.vcas, args.users) == (["Zoom", "Webex"], [2, 3])
+        args = build_parser().parse_args(
+            ["gauntlet", "--scenarios", "mixed,region-outage"])
+        assert args.scenarios == ["mixed", "region-outage"]
+
+
+#: Each ``scenarios`` flag and each sweep flag, with a value.
+SCENARIO_FLAGS = [["--seed", "1"], ["--distribution", "paper-calls"],
+                  ["--count", "3"], ["--start", "2"], ["--out", "x.jsonl"],
+                  ["--spec-file", "s.jsonl"], ["--csv", "x.csv"]]
+SWEEP_FLAGS = [["--jobs", "2"], ["--no-cache"], ["--cache-dir", "c"],
+               ["--cell-timeout", "5"], ["--max-retries", "2"],
+               ["--journal", "j.jsonl"], ["--resume"],
+               ["--manifest", "m.json"], ["--trace", "t.jsonl"],
+               ["--metrics"]]
+
+
+class TestScenarioActions:
+    """``scenarios describe`` and ``generate`` refuse the flags they never
+    read (both used to exit 0 and ignore them, writing no file)."""
+
+    @pytest.mark.parametrize("flag", SCENARIO_FLAGS + SWEEP_FLAGS,
+                             ids=lambda flag: flag[0])
+    def test_describe_refuses(self, flag, capsys):
+        err = _refused(["scenarios", "describe", *flag], capsys)
+        assert f"argument {flag[0]}: not read by 'scenarios describe'" in err
+
+    @pytest.mark.parametrize("flag", SWEEP_FLAGS + [["--csv", "x.csv"]],
+                             ids=lambda flag: flag[0])
+    def test_generate_refuses(self, flag, capsys):
+        err = _refused(["scenarios", "generate", "--count", "2", *flag],
+                       capsys)
+        assert f"argument {flag[0]}: not read by 'scenarios generate'" in err
+
+    def test_generate_reads_its_flags(self, tmp_path, capsys):
+        out = tmp_path / "specs.jsonl"
+        assert main(["scenarios", "generate", "--seed", "3",
+                     "--distribution", "paper-calls", "--count", "2",
+                     "--start", "1", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 2
+
+    def test_run_takes_every_flag(self):
+        from repro.cli import COMMANDS
+
+        argv = ["scenarios", "run"] + [
+            arg for flag in SCENARIO_FLAGS + SWEEP_FLAGS for arg in flag]
+        args = build_parser().parse_args(argv)
+        assert COMMANDS["scenarios"].check(args) is None

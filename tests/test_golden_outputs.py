@@ -59,8 +59,8 @@ CASES = {
                   "--no-cache"], "--csv"),
     "scenarios-run": (["scenarios", "run", "--count", "3", "--no-cache"],
                       "--csv"),
-    "scenarios-generate": (["scenarios", "generate", "--count", "20",
-                            "--no-cache"], None),
+    "scenarios-generate": (["scenarios", "generate", "--count", "20"],
+                           None),
     "reproduce-quick": (["reproduce", "--quick", "--no-cache"], "--output"),
 }
 
