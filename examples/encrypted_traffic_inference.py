@@ -40,11 +40,13 @@ def show(label: str, records) -> None:
 def main() -> None:
     print("pattern-level classification (no payload bytes inspected):\n")
 
-    spatial = default_two_user_testbed().session(FACETIME, seed=0).run(8.0)
+    spatial = default_two_user_testbed().session(
+        FACETIME, seed=0, captures=("U1",)).run(8.0)
     show("FaceTime spatial (QUIC)",
          spatial.capture_of("U1").filter(direction=Direction.UPLINK))
 
-    video = default_two_user_testbed().session(WEBEX, seed=0).run(8.0)
+    video = default_two_user_testbed().session(
+        WEBEX, seed=0, captures=("U1",)).run(8.0)
     show("Webex 2D video (RTP)",
          video.capture_of("U1").filter(direction=Direction.UPLINK))
 
@@ -62,7 +64,8 @@ def main() -> None:
          capture.filter(direction=Direction.UPLINK))
 
     print("\nRTP loss inference from cleartext sequence numbers:")
-    session = default_two_user_testbed().session(ZOOM, seed=1)
+    session = default_two_user_testbed().session(ZOOM, seed=1,
+                                                  captures=("U1",))
     session.shape_uplink("U2", TrafficShaper(loss=0.06, seed=7))
     result = session.run(8.0)
     estimate = estimate_rtp_loss(

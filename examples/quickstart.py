@@ -16,7 +16,7 @@ from repro.vca import FACETIME
 
 def main() -> None:
     testbed = default_two_user_testbed()  # U1 in San Jose, U2 in Dallas
-    session = testbed.session(FACETIME, seed=0)
+    session = testbed.session(FACETIME, seed=0, captures=("U1",))
     print(f"persona kind : {session.persona_kind.value}")
     print(f"protocol     : {session.protocol.value}")
     print(f"p2p          : {session.p2p}")

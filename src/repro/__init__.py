@@ -15,7 +15,7 @@ Quick start::
     from repro.netsim import Direction
 
     testbed = default_two_user_testbed()        # U1 + U2, both Vision Pro
-    session = testbed.session(FACETIME, seed=0)
+    session = testbed.session(FACETIME, seed=0, captures=("U1",))
     result = session.run(duration_s=30)
     print(result.protocol)                      # Protocol.QUIC
     print(throughput_summary(result.capture_of("U1"), Direction.UPLINK))

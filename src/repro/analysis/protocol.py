@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.netsim.capture import CapturedPacket, PacketCapture
 from repro.transport.quic import is_quic_datagram
@@ -49,16 +49,15 @@ class ProtocolReport:
         return self.payload_types.most_common(1)[0][0]
 
 
-def classify_records(records: Sequence[CapturedPacket]) -> ProtocolReport:
-    """Classify a list of capture records byte-first.
+def classify_snaps(snaps: Iterable[bytes]) -> ProtocolReport:
+    """Classify packets by their retained payload bytes, byte-first.
 
     RTP and QUIC first bytes are disjoint (RTP: version 2 -> 0b10xxxxxx
     with the QUIC fixed bit clear; QUIC: fixed bit 0x40 set), which is the
     same separation Wireshark's heuristic dissector uses.
     """
     report = ProtocolReport()
-    for rec in records:
-        snap = rec.snap
+    for snap in snaps:
         if looks_like_rtp(snap) and not is_quic_datagram(snap):
             report.rtp_packets += 1
             try:
@@ -72,6 +71,11 @@ def classify_records(records: Sequence[CapturedPacket]) -> ProtocolReport:
     return report
 
 
+def classify_records(records: Sequence[CapturedPacket]) -> ProtocolReport:
+    """Classify a list of capture records by their snaps."""
+    return classify_snaps(record.snap for record in records)
+
+
 def classify_capture(capture: PacketCapture) -> ProtocolReport:
-    """Classify every record of one AP capture."""
-    return classify_records(capture.records)
+    """Classify every record of one AP capture (no record is built)."""
+    return classify_snaps(capture.snaps())

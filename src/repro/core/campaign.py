@@ -112,7 +112,8 @@ def run_cell(cell: CampaignCell, repeat: int, seed: int) -> CampaignRecord:
     testbed = multi_user_testbed(
         cell.n_users, device_factory=cell.device_factory
     )
-    session = testbed.session(PROFILES[cell.vca], seed=seed)
+    session = testbed.session(PROFILES[cell.vca], seed=seed,
+                              captures=("U1",))
     result = session.run(cell.duration_s)
     capture = result.capture_of("U1")
     up = throughput_windows_mbps(capture, Direction.UPLINK)

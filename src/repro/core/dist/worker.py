@@ -225,61 +225,67 @@ class WorkerAgent:
     # ------------------------------------------------------------------
 
     def run(self) -> WorkerStats:
-        """Work the queue until it finishes (or stop/idle-exit/max)."""
+        """Work the queue until it finishes (or stop/idle-exit/max).
+
+        The liveness beacon starts before the agent waits for a campaign,
+        so a fleet already waiting to join counts as live the moment the
+        campaign is published.
+        """
         started = self._monotonic()
         self.stats = WorkerStats()
         self.manifest = RunManifest()
         self.layout.create()
-        self._join()
-        journal = RunJournal(self.layout.journals_dir
-                             / f"{self.worker}.jsonl")
-        journal.reset()
-        cache = ResultCache(self.layout.cache_dir)
         beacon = hb.HeartbeatWriter(
             self.layout, self.worker,
             interval_s=self.heartbeat_interval_s,
             busy_timeout_s=self.cell_timeout_s,
         )
-        lease: Optional[Lease] = None
-        idle_since: Optional[float] = None
-        try:
-            with beacon, obs_trace.span("worker.run", cat="dist",
-                                        worker=self.worker):
-                while not self._stop:
-                    if self.queue.finished():
-                        break
-                    if (self.max_cells is not None
-                            and self.stats.committed >= self.max_cells):
-                        break
-                    lease = self.queue.claim(
-                        stale_after_s=self.lease_timeout_s
-                    )
-                    if lease is None:
-                        now = self._monotonic()
-                        idle_since = idle_since if idle_since is not None \
-                            else now
-                        if (self.idle_exit_s is not None
-                                and now - idle_since >= self.idle_exit_s):
+        with beacon:
+            self._join()
+            journal = RunJournal(self.layout.journals_dir
+                                 / f"{self.worker}.jsonl")
+            journal.reset()
+            cache = ResultCache(self.layout.cache_dir)
+            lease: Optional[Lease] = None
+            idle_since: Optional[float] = None
+            try:
+                with obs_trace.span("worker.run", cat="dist",
+                                    worker=self.worker):
+                    while not self._stop:
+                        if self.queue.finished():
                             break
-                        self.stats.idle_polls += 1
-                        self._sleep(self.poll_s)
-                        continue
-                    idle_since = None
-                    self.stats.claimed += 1
-                    if lease.token > 1:
-                        self.stats.stolen += 1
-                        self._tick(f"stole {lease.spec.name} "
-                                   f"(token {lease.token})")
-                    self._work_lease(lease, cache, journal, beacon)
-                    lease = None
-        except CampaignInterrupted:
-            self.stats.interrupted = True
-            if lease is not None and self.queue.release(lease):
-                self.stats.released += 1
-        finally:
-            journal.close()
-            self._write_manifest()
-            self.stats.elapsed_s = self._monotonic() - started
+                        if (self.max_cells is not None
+                                and self.stats.committed >= self.max_cells):
+                            break
+                        lease = self.queue.claim(
+                            stale_after_s=self.lease_timeout_s
+                        )
+                        if lease is None:
+                            now = self._monotonic()
+                            idle_since = idle_since if idle_since is not None \
+                                else now
+                            if (self.idle_exit_s is not None
+                                    and now - idle_since >= self.idle_exit_s):
+                                break
+                            self.stats.idle_polls += 1
+                            self._sleep(self.poll_s)
+                            continue
+                        idle_since = None
+                        self.stats.claimed += 1
+                        if lease.token > 1:
+                            self.stats.stolen += 1
+                            self._tick(f"stole {lease.spec.name} "
+                                       f"(token {lease.token})")
+                        self._work_lease(lease, cache, journal, beacon)
+                        lease = None
+            except CampaignInterrupted:
+                self.stats.interrupted = True
+                if lease is not None and self.queue.release(lease):
+                    self.stats.released += 1
+            finally:
+                journal.close()
+                self._write_manifest()
+                self.stats.elapsed_s = self._monotonic() - started
         return self.stats
 
     def _join(self) -> None:

@@ -2,8 +2,9 @@
 
 U1 always wears a Vision Pro; U2 (and any further users) join on a chosen
 device.  Each user sits behind their own WiFi AP, Wireshark runs at the
-APs, and ``tc`` can shape either user's access link — all of which the
-:class:`Testbed` assembles for any of the four VCA profiles.
+APs a session names (``captures=``), and ``tc`` can shape either user's
+access link — all of which the :class:`Testbed` assembles for any of the
+four VCA profiles.
 """
 
 from __future__ import annotations
@@ -41,14 +42,16 @@ class Testbed:
 
     def session(self, profile: VcaProfile, seed: int = 0,
                 initiator_index: int = 0, faults=None,
-                resilience=None, sim=None) -> TelepresenceSession:
+                resilience=None, sim=None,
+                captures: Sequence[str] = ()) -> TelepresenceSession:
         """Create (but do not run) a session on this testbed.
 
         ``faults`` / ``resilience`` pass through to
         :class:`~repro.vca.session.TelepresenceSession` and enable the
         fault-injection + resilience runtime.  ``sim`` injects an
         externally owned engine (e.g. one lane of a
-        :class:`~repro.netsim.batch.BatchSimulator`).
+        :class:`~repro.netsim.batch.BatchSimulator`).  ``captures`` names
+        the users whose AP runs a capture (none by default).
         """
         return TelepresenceSession(
             profile,
@@ -59,6 +62,7 @@ class Testbed:
             faults=faults,
             resilience=resilience,
             sim=sim,
+            captures=captures,
         )
 
     @property

@@ -86,7 +86,8 @@ def measure_configuration(
     windows: List[float] = []
     for repeat in range(repeats):
         testbed = default_two_user_testbed(u2_device=device_factory())
-        session = testbed.session(profile, seed=seed + repeat)
+        session = testbed.session(profile, seed=seed + repeat,
+                                  captures=("U1",))
         result = session.run(duration_s)
         windows.extend(
             throughput_windows_mbps(result.capture_of("U1"), Direction.UPLINK)

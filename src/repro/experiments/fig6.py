@@ -187,7 +187,7 @@ def measure_network_cell(n: int, duration_s: float, repeats: int,
         testbed = multi_user_testbed(n)
         runner.add(
             lambda sim, tb=testbed, s=seed + repeat:
-            tb.session(facetime, seed=s, sim=sim)
+            tb.session(facetime, seed=s, sim=sim, captures=("U1",))
         )
     windows: List[float] = []
     for outcome in runner.run(duration_s):

@@ -50,7 +50,8 @@ def observe_session_protocol(profile: VcaProfile, devices: List[Device],
         Participant(f"U{i + 1}", device, city(cities[i]))
         for i, device in enumerate(devices)
     ]
-    session = TelepresenceSession(profile, participants, seed=seed)
+    session = TelepresenceSession(profile, participants, seed=seed,
+                                  captures=("U1",))
     result = session.run(duration_s)
     report = classify_capture(result.capture_of("U1"))
     mix = "+".join(d.device_class.value for d in devices)

@@ -52,7 +52,8 @@ def measure_content(
     """
     def run(shape_mbps: Optional[float]) -> "tuple[float, float, float]":
         testbed = multi_user_testbed(n_users)
-        session = testbed.session(PROFILES["FaceTime"], seed=seed)
+        session = testbed.session(PROFILES["FaceTime"], seed=seed,
+                                  captures=("U1", "U2"))
         if shape_mbps is not None:
             session.shape_uplink(
                 "U1", TrafficShaper(rate_bps=shape_mbps * 1e6, seed=seed)

@@ -106,6 +106,10 @@ class PacketCapture:
         """Every record, in capture order, built from the columns."""
         return tuple(self.filter())
 
+    def snaps(self) -> Tuple[bytes, ...]:
+        """The retained payload bytes of every record, in capture order."""
+        return tuple(self._snap)
+
     def series(self, direction: Direction, peer: Optional[str] = None
                ) -> Tuple[np.ndarray, np.ndarray]:
         """Timestamps (float64) and wire bytes (int64) of one direction's

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, Optional
 
 from repro.checks import positive
 from repro.netsim.engine import Simulator
@@ -70,6 +70,36 @@ class Link:
             return 0
         return int((self._busy_until - now) * self.rate_bps / 8.0)
 
+    def admit(self, now: float, wire: int) -> Optional[float]:
+        """Queue ``wire`` bytes offered at ``now``; return their departure.
+
+        The departure is the instant the last bit leaves the link.  Every
+        packet the link carries is admitted here, by :meth:`transmit` or
+        by a caller that schedules the departure itself.
+
+        Returns:
+            None when the link is down or the drop-tail queue rejected the
+            bytes (counted as a drop).
+        """
+        stats = self.stats
+        if not self.up:
+            stats.packets_dropped += 1
+            return None
+        # backlog_bytes and serialization_delay inlined, with the exact
+        # same float expressions, so departures stay bit-identical to
+        # repro.netsim.batch.drop_tail_departures.
+        rate_bps = self.rate_bps
+        busy = self._busy_until
+        backlog = int((busy - now) * rate_bps / 8.0) if busy > now else 0
+        if backlog + wire > self.queue_bytes:
+            stats.packets_dropped += 1
+            return None
+        done = (busy if busy > now else now) + wire * 8.0 / rate_bps
+        self._busy_until = done
+        stats.packets_sent += 1
+        stats.bytes_sent += wire
+        return done
+
     def transmit(
         self,
         sim: Simulator,
@@ -90,25 +120,9 @@ class Link:
         Returns:
             False when the drop-tail queue rejected the packet.
         """
-        stats = self.stats
-        if not self.up:
-            stats.packets_dropped += 1
+        done = self.admit(sim.now, packet.wire_bytes)
+        if done is None:
             return False
-        # backlog_bytes and serialization_delay inlined, with the exact
-        # same float expressions, so departures stay bit-identical to
-        # repro.netsim.batch.drop_tail_departures.
-        now = sim.now
-        wire = packet.wire_bytes
-        rate_bps = self.rate_bps
-        busy = self._busy_until
-        backlog = int((busy - now) * rate_bps / 8.0) if busy > now else 0
-        if backlog + wire > self.queue_bytes:
-            stats.packets_dropped += 1
-            return False
-        done = (busy if busy > now else now) + wire * 8.0 / rate_bps
-        self._busy_until = done
-        stats.packets_sent += 1
-        stats.bytes_sent += wire
         sim.schedule_at(done + extra_delay, partial(on_transmitted, packet))
         return True
 

@@ -13,6 +13,16 @@ Captures observe uplink packets as they clear the sender's AP and downlink
 packets as they arrive at the receiver's AP — the same vantage Wireshark has
 in the paper's testbed.
 
+On a network nothing observes (no capture, no fault seeding) steps 2 and 3
+are one engine event: the packet is admitted on the AP uplink and its core
+arrival is scheduled at ``departure + core delay`` directly.  An observed
+network keeps a departure event between them, where captures stamp the
+packet and fault jitter is drawn.  The mode is fixed per network by its
+first packet, never per sender: arrival times are equal either way, but
+exact arrival-time ties (co-located senders on synchronized media ticks)
+are broken by when each crossing was scheduled, so mixing the two modes in
+one network would reorder them.
+
 Fault injection hooks: every attachment can carry a :class:`LinkFault`
 (blackout, burst loss, burst jitter) installed by
 :class:`repro.faults.injector.FaultInjector`.  Sender-side faults act before
@@ -28,7 +38,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -77,6 +87,10 @@ class _Attachment:
     inflight: Dict[int, EventHandle] = field(default_factory=dict)
 
 
+#: An AP-uplink hop: forwards a packet from the sender's attachment.
+_UplinkHop = Callable[[_Attachment, _Attachment, Packet], None]
+
+
 @dataclass
 class NetworkStats:
     """Fabric-wide counters."""
@@ -97,6 +111,10 @@ class Network:
         self._core_delay_s: Dict[Tuple[str, str], float] = {}
         self._fault_rng: Optional[np.random.Generator] = None
         self._crossings = itertools.count()
+        #: Whether a capture or the fault layer was armed.
+        self._observed = False
+        #: The AP-uplink hop, fixed by the first packet sent.
+        self._uplink_hop: Optional[_UplinkHop] = None
 
     def attach(
         self,
@@ -135,7 +153,12 @@ class Network:
         self._attachments[address].downlink_shaper = shaper
 
     def start_capture(self, address: str) -> PacketCapture:
-        """Start a Wireshark-style capture at the host's AP."""
+        """Start a Wireshark-style capture at the host's AP.
+
+        Raises:
+            RuntimeError: The network already forwarded unobserved packets.
+        """
+        self._arm("start_capture")
         attachment = self._attachments[address]
         attachment.capture = attachment.ap.start_capture(address)
         return attachment.capture
@@ -156,6 +179,20 @@ class Network:
             self._core_delay_s[key] = delay
         return delay
 
+    def _arm(self, what: str) -> None:
+        """Mark the network observed, before its first packet only.
+
+        An unobserved network folds each AP-uplink departure into its core
+        crossing, so a capture or fault armed later would see a departure
+        history that never happened.
+        """
+        if self._uplink_hop is not None and not self._observed:
+            raise RuntimeError(
+                f"{what}: this network already forwarded unobserved "
+                "packets; start captures and arm faults before the first "
+                "send")
+        self._observed = True
+
     # ------------------------------------------------------------------
     # Fault-injection surface
     # ------------------------------------------------------------------
@@ -166,7 +203,11 @@ class Network:
         The fault layer calls this with a seed derived from the session
         seed so fault runs are exactly reproducible.  Without faults this
         RNG is never drawn from, keeping clean runs byte-identical.
+
+        Raises:
+            RuntimeError: The network already forwarded unobserved packets.
         """
+        self._arm("seed_faults")
         self._fault_rng = np.random.default_rng(seed)
 
     def _rng(self) -> np.random.Generator:
@@ -175,7 +216,12 @@ class Network:
         return self._fault_rng
 
     def set_fault(self, address: str, fault: Optional[LinkFault]) -> None:
-        """Install (or clear, with None) a fault on a host's attachment."""
+        """Install (or clear, with None) a fault on a host's attachment.
+
+        Raises:
+            RuntimeError: The network already forwarded unobserved packets.
+        """
+        self._arm("set_fault")
         self._attachments[address].fault = fault
 
     def fault_of(self, address: str) -> Optional[LinkFault]:
@@ -193,7 +239,12 @@ class Network:
         Uses the simulator's cancellable handles — this is what makes a
         blackout instantaneous instead of "no *new* packets".  Returns the
         number of deliveries revoked.
+
+        Raises:
+            RuntimeError: The network already forwarded unobserved packets
+                (their crossings are not tracked).
         """
+        self._arm("drop_inflight")
         attachment = self._attachments[address]
         dropped = 0
         for handle in attachment.inflight.values():
@@ -232,8 +283,10 @@ class Network:
         Each hop is a ``functools.partial`` of a bound method, which
         :meth:`Link.transmit` extends with the packet (``partial``
         flattens nested partials), so a hop costs one Python frame.  A
-        clean packet costs three engine events: AP uplink, core crossing,
-        AP downlink (plus one per shaper on its path).
+        clean packet costs two engine events on a network nothing
+        observes (AP uplink and core crossing in one, then AP downlink)
+        and three on an observed one (AP uplink, core crossing, AP
+        downlink), plus one per shaper on its path.
         """
         sender = self._attachments.get(packet.src)
         receiver = self._attachments.get(packet.dst)
@@ -250,23 +303,45 @@ class Network:
             stats.packets_dropped += 1
             return False
 
+        hop = self._uplink_hop or self._fix_uplink_hop()
         shaper = sender.uplink_shaper
         if shaper is None:
-            if not sender.ap.uplink.transmit(
-                    sim, packet, partial(self._cross_core, sender, receiver)):
-                stats.packets_dropped += 1
+            hop(sender, receiver, packet)
             return True
-        accepted = shaper.process(
-            sim, packet, partial(self._enter_ap_uplink, sender, receiver))
+        accepted = shaper.process(sim, packet, partial(hop, sender, receiver))
         if not accepted:
             stats.packets_dropped += 1
         return accepted
+
+    def _fix_uplink_hop(self) -> _UplinkHop:
+        """Choose the AP-uplink hop once, for the whole network."""
+        self._uplink_hop = (self._enter_ap_uplink if self._observed
+                            else self._cross_ap_uplink_and_core)
+        return self._uplink_hop
 
     def _enter_ap_uplink(self, sender: _Attachment, receiver: _Attachment,
                          packet: Packet) -> None:
         if not sender.ap.uplink.transmit(
                 self.sim, packet, partial(self._cross_core, sender, receiver)):
             self.stats.packets_dropped += 1
+
+    def _cross_ap_uplink_and_core(self, sender: _Attachment,
+                                  receiver: _Attachment,
+                                  packet: Packet) -> None:
+        # The unobserved hop: no capture stamps the departure and no
+        # fault can draw jitter or revoke the crossing, so the core
+        # arrival is scheduled now, at the time the departure event
+        # would have scheduled it.
+        sim = self.sim
+        departure = sender.ap.uplink.admit(sim.now, packet.wire_bytes)
+        if departure is None:
+            self.stats.packets_dropped += 1
+            return
+        delay = self._core_delay_s.get((packet.src, packet.dst))
+        if delay is None:
+            delay = self.one_way_delay_s(packet.src, packet.dst)
+        sim.schedule_at(departure + delay,
+                        partial(self._arrive_at_receiver, receiver, packet))
 
     def _cross_core(self, sender: _Attachment, receiver: _Attachment,
                     packet: Packet) -> None:
@@ -280,11 +355,15 @@ class Network:
             delay += self._fault_jitter_s(sender.fault, receiver.fault)
         token = next(self._crossings)
         receiver.inflight[token] = sim.schedule(
-            delay, partial(self._arrive_at_receiver, receiver, packet, token))
+            delay, partial(self._land_tracked, receiver, packet, token))
 
-    def _arrive_at_receiver(self, receiver: _Attachment, packet: Packet,
-                            token: int) -> None:
+    def _land_tracked(self, receiver: _Attachment, packet: Packet,
+                      token: int) -> None:
         del receiver.inflight[token]
+        self._arrive_at_receiver(receiver, packet)
+
+    def _arrive_at_receiver(self, receiver: _Attachment,
+                            packet: Packet) -> None:
         if receiver.fault is not None and self._fault_drops(receiver.fault):
             self.stats.packets_dropped += 1
             return

@@ -242,11 +242,6 @@ def _run_session_scenario(spec: ScenarioSpec) -> Dict[str, object]:
                        if result.resilience is not None else 0),
     }
     record.update(_qoe_record(list(vectors.values())))
-    # The finished call's object graph is cyclic garbage that only a
-    # full collection frees; its captures' columns and snap bytes ride
-    # in it, so free them now and peak memory holds one call, not several.
-    for capture in result.captures.values():
-        capture.clear()
     return record
 
 

@@ -78,8 +78,19 @@ class SessionResult:
     resilience: Optional["SessionResilience"] = None
 
     def capture_of(self, user_id: str) -> PacketCapture:
-        """The AP capture of one participant."""
-        return self.captures[user_id]
+        """The AP capture of one participant.
+
+        Raises:
+            KeyError: The session ran no capture for ``user_id`` (name it
+                in ``captures=``).
+        """
+        capture = self.captures.get(user_id)
+        if capture is None:
+            raise KeyError(
+                f"no capture of {user_id!r}: the session captured "
+                f"{sorted(self.captures)}; name the participant in "
+                "captures= to record one")
+        return capture
 
     def receiver_of(self, user_id: str) -> SemanticReceiver:
         """The semantic receiver of one participant (spatial sessions)."""
@@ -99,8 +110,6 @@ class TelepresenceSession:
             unless ``initiator_index`` says otherwise.
         seed: Master seed for media and motion randomness.
         path_model: Wide-area latency model.
-        warmup_s: Time before sources start counting toward captures
-            (handshakes happen here).
         faults: Optional fault schedule to inject during the run.
         resilience: Optional resilience tunables; providing either
             ``faults`` or ``resilience`` turns on the resilience runtime
@@ -112,6 +121,10 @@ class TelepresenceSession:
             :class:`~repro.netsim.batch.LaneSimulator` view.  When many
             sessions share one batch engine, advance the shared clock
             once and harvest each session with :meth:`collect`.
+        captures: User ids whose AP runs a Wireshark-style capture
+            (none by default).  Name only the vantages you read: a
+            session nothing captures or faults forwards each packet with
+            one engine event fewer.
     """
 
     def __init__(
@@ -124,9 +137,14 @@ class TelepresenceSession:
         faults: Optional["FaultSchedule"] = None,
         resilience: Optional["ResilienceConfig"] = None,
         sim: Optional[Simulator] = None,
+        captures: Sequence[str] = (),
     ) -> None:
         if len(participants) < 2:
             raise ValueError("a session needs at least two participants")
+        unknown = set(captures) - {p.user_id for p in participants}
+        if unknown:
+            raise ValueError(
+                f"captures names unknown participants {sorted(unknown)}")
         if not 0 <= initiator_index < len(participants):
             raise ValueError("initiator index out of range")
         if (
@@ -143,6 +161,7 @@ class TelepresenceSession:
         self.participants = list(participants)
         self.initiator_index = initiator_index
         self.seed = seed
+        self._captured = frozenset(captures)
         self.sim = sim if sim is not None else Simulator()
         self.network = Network(self.sim, path_model or DEFAULT_PATH_MODEL)
 
@@ -180,7 +199,9 @@ class TelepresenceSession:
             self.network.attach(host)
             self._hosts[participant.user_id] = host
             self._addresses[participant.user_id] = address
-            self._captures[participant.user_id] = self.network.start_capture(address)
+            if participant.user_id in self._captured:
+                self._captures[participant.user_id] = (
+                    self.network.start_capture(address))
 
         if not self.p2p:
             fleet = build_fleet(self.profile.name, self.network.path_model)

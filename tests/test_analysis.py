@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.analysis.latency import measure_server_rtts
-from repro.analysis.protocol import classify_records
+from repro.analysis.protocol import classify_capture, classify_records
 from repro.analysis.stats import summarize_samples
 from repro.analysis.throughput import (
     mean_throughput_mbps,
@@ -19,6 +19,10 @@ from repro.geo.regions import city
 from repro.geo.servers import ALL_FLEETS
 from repro.netsim.capture import CapturedPacket, Direction, PacketCapture
 from repro.netsim.packet import IPPROTO_UDP
+from repro.devices.models import MacBook, VisionPro
+from repro.experiments.protocols import MIXES
+from repro.vca.profiles import PROFILES
+from repro.vca.session import Participant, TelepresenceSession
 
 
 #: Imports the package's entry points, lists the scipy modules loaded,
@@ -168,6 +172,23 @@ class TestProtocolClassifier:
     def test_no_payload_type_without_rtp(self):
         report = classify_records([record_with_snap(b"\x00" * 20)])
         assert report.dominant_payload_type() is None
+
+    @pytest.mark.parametrize("mix", MIXES, ids="+".join)
+    @pytest.mark.parametrize("vca", list(PROFILES))
+    def test_capture_classifies_like_its_records(self, vca, mix):
+        """The protocol matrix's captures: classifying the snap column
+        equals classifying the records built from it."""
+        devices = {"Vision Pro": VisionPro, "MacBook": MacBook}
+        participants = [
+            Participant(f"U{i + 1}", devices[name](), city(home))
+            for i, (name, home) in enumerate(zip(mix, ["san jose",
+                                                       "dallas"]))]
+        capture = TelepresenceSession(
+            PROFILES[vca], participants, seed=0, captures=("U1",),
+        ).run(5.0).capture_of("U1")
+        report = classify_capture(capture)
+        assert report == classify_records(capture.records)
+        assert report.total == len(capture.records) > 0
 
 
 class TestServerRtts:

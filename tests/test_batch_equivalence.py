@@ -73,10 +73,11 @@ class TestCohortOfOne:
     """A cohort of one is the scalar run, bit for bit."""
 
     def test_two_user_session_bit_identical(self):
-        scalar = scalar_run(default_two_user_testbed, FACETIME, 0, 6.0)
+        scalar = scalar_run(default_two_user_testbed, FACETIME, 0, 6.0,
+                            captures=("U1", "U2"))
         runner = CohortRunner()
         runner.add(lambda sim: default_two_user_testbed().session(
-            FACETIME, seed=0, sim=sim))
+            FACETIME, seed=0, sim=sim, captures=("U1", "U2")))
         (batched,) = runner.run(6.0)
         assert_results_identical(scalar, batched, ["U1", "U2"])
 
@@ -102,10 +103,10 @@ class TestCohortOfOne:
             FaultEvent(FaultKind.BANDWIDTH_COLLAPSE, "U2", 2.5, 0.6, 0.05),
         ])
         scalar = scalar_run(default_two_user_testbed, FACETIME, 2, 5.0,
-                            faults=faults)
+                            faults=faults, captures=("U1", "U2"))
         runner = CohortRunner()
         runner.add(lambda sim: default_two_user_testbed().session(
-            FACETIME, seed=2, sim=sim, faults=faults))
+            FACETIME, seed=2, sim=sim, faults=faults, captures=("U1", "U2")))
         (batched,) = runner.run(5.0)
         for user in ("U1", "U2"):
             assert (scalar.capture_of(user).records
@@ -124,27 +125,31 @@ class TestCohortOfMany:
 
     def test_mixed_cohort_matches_independent_scalar_runs(self):
         scalars = [
-            scalar_run(default_two_user_testbed, profile, seed, 5.0)
+            scalar_run(default_two_user_testbed, profile, seed, 5.0,
+                       captures=("U1", "U2"))
             for profile, seed in self.COHORT
         ]
         runner = CohortRunner()
         for profile, seed in self.COHORT:
             runner.add(lambda sim, p=profile, s=seed:
-                       default_two_user_testbed().session(p, seed=s, sim=sim))
+                       default_two_user_testbed().session(
+                           p, seed=s, sim=sim, captures=("U1", "U2")))
         batched = runner.run(5.0)
         for scalar, batch in zip(scalars, batched):
             assert_results_identical(scalar, batch, ["U1", "U2"])
 
     def test_multi_user_sfu_sessions_batch_identically(self):
+        users = ("U1", "U2", "U3")
         scalars = [
-            scalar_run(lambda: multi_user_testbed(3), FACETIME, seed, 5.0)
+            scalar_run(lambda: multi_user_testbed(3), FACETIME, seed, 5.0,
+                       captures=users)
             for seed in (0, 1)
         ]
         runner = CohortRunner()
         for seed in (0, 1):
             runner.add(lambda sim, s=seed:
                        multi_user_testbed(3).session(FACETIME, seed=s,
-                                                     sim=sim))
+                                                     sim=sim, captures=users))
         batched = runner.run(5.0)
         for scalar, batch in zip(scalars, batched):
             assert_results_identical(scalar, batch, ["U1", "U2", "U3"])
@@ -166,7 +171,7 @@ class TestCohortOfMany:
         runner = CohortRunner()
         for seed in (0, 5):
             runner.add(lambda sim, s=seed: default_two_user_testbed().session(
-                FACETIME, seed=s, sim=sim))
+                FACETIME, seed=s, sim=sim, captures=("U1",)))
         captures = [r.capture_of("U1") for r in runner.run(6.0)]
         batched = cohort_throughput_windows_mbps(captures,
                                                  Direction.DOWNLINK)
@@ -245,7 +250,7 @@ class TestSfuFastPathVsOracle:
     def test_observer_downlink_windows_match(self, n, seed):
         duration = 8.0
         oracle = multi_user_testbed(n).session(
-            FACETIME, seed=seed).run(duration)
+            FACETIME, seed=seed, captures=("U1",)).run(duration)
         oracle_windows = throughput_windows_mbps(
             oracle.capture_of("U1"), Direction.DOWNLINK)
         fast = sfu_cohort_downlink(n, duration, seed=seed, observers=[0])

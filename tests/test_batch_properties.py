@@ -177,13 +177,13 @@ class TestSessionCohortProperties:
         scalar_bytes = []
         for seed in seeds:
             result = default_two_user_testbed().session(
-                FACETIME, seed=seed).run(duration)
+                FACETIME, seed=seed, captures=("U1",)).run(duration)
             scalar_bytes.append(
                 result.capture_of("U1").total_bytes(Direction.DOWNLINK))
         runner = CohortRunner()
         for seed in seeds:
             runner.add(lambda sim, s=seed: default_two_user_testbed().session(
-                FACETIME, seed=s, sim=sim))
+                FACETIME, seed=s, sim=sim, captures=("U1",)))
         for result, want in zip(runner.run(duration), scalar_bytes):
             assert (result.capture_of("U1").total_bytes(Direction.DOWNLINK)
                     == want)

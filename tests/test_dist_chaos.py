@@ -75,6 +75,20 @@ def _active_owner_of(store, worker_id: str):
     return None
 
 
+def _await_heartbeats(store, worker_ids, timeout_s: float = 30.0) -> None:
+    """Wait until every worker in ``worker_ids`` has beaten once.
+
+    A worker beats before it waits for a campaign, so once this returns
+    all of them are polling when the cells are published.
+    """
+    deadline = time.monotonic() + timeout_s
+    paths = [store.heartbeats_dir / f"{worker}.json" for worker in worker_ids]
+    while not all(path.exists() for path in paths):
+        assert time.monotonic() < deadline, (
+            f"no first heartbeat from {worker_ids} within {timeout_s} s")
+        time.sleep(0.02)
+
+
 def _run_distributed(store: Path, tmp_path: Path,
                      worker_wait_s: float = 15.0) -> tuple:
     campaign = _campaign()
@@ -129,6 +143,9 @@ class TestFleetChaos:
         agent = threading.Thread(target=chaos, daemon=True)
         agent.start()
         try:
+            # Both victims must be polling when the leases appear, or the
+            # survivor may run every cell before either has joined.
+            _await_heartbeats(store, workers)
             campaign, csv_bytes = _run_distributed(store_root, tmp_path,
                                                    worker_wait_s=20.0)
             # Let the zombie come back, finish its cell, and be fenced

@@ -268,7 +268,8 @@ class TestInjectorBatchGuard:
         def run(sim=None):
             return default_two_user_testbed().session(
                 PROFILES["FaceTime"], faults=standard_disturbance(10.0),
-                resilience=ResilienceConfig(), sim=sim).run(10.0)
+                resilience=ResilienceConfig(), sim=sim,
+                captures=("U1", "U2")).run(10.0)
 
         lane, scalar = run(BatchSimulator().add_lane()), run()
         log = lane.resilience.fault_log

@@ -118,7 +118,8 @@ class TestTracePersistence:
     def _capture(self):
         from repro.core.testbed import default_two_user_testbed
 
-        result = default_two_user_testbed().session(FACETIME, seed=0).run(2.0)
+        result = default_two_user_testbed().session(
+            FACETIME, seed=0, captures=("U1",)).run(2.0)
         return result.capture_of("U1")
 
     def test_roundtrip(self, tmp_path):

@@ -18,7 +18,7 @@ class TestSessionDeterminism:
     def test_same_seed_same_traffic(self):
         def run(seed):
             result = default_two_user_testbed().session(
-                FACETIME, seed=seed
+                FACETIME, seed=seed, captures=("U1",)
             ).run(4.0)
             cap = result.capture_of("U1")
             return (
@@ -31,7 +31,7 @@ class TestSessionDeterminism:
     def test_different_seed_different_payload_sizes(self):
         def sizes(seed):
             result = default_two_user_testbed().session(
-                WEBEX, seed=seed
+                WEBEX, seed=seed, captures=("U1",)
             ).run(3.0)
             return [
                 r.wire_bytes

@@ -29,7 +29,7 @@ from repro.vca.profiles import FACETIME, PersonaKind, Protocol
 def story_session():
     """One 15-second spatial FaceTime call, shared by the story tests."""
     testbed = default_two_user_testbed()
-    session = testbed.session(FACETIME, seed=42)
+    session = testbed.session(FACETIME, seed=42, captures=("U1", "U2"))
     result = session.run(15.0)
     return session, result
 

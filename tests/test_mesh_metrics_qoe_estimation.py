@@ -83,7 +83,8 @@ class TestQualityFraction:
 
 class TestPassiveQoeEstimation:
     def test_clean_webex_scores_high(self):
-        result = default_two_user_testbed().session(WEBEX, seed=0).run(8.0)
+        result = default_two_user_testbed().session(
+            WEBEX, seed=0, captures=("U1",)).run(8.0)
         estimate = estimate_from_capture(
             result.capture_of("U1"), Direction.DOWNLINK,
             one_way_delay_ms=30.0,
@@ -93,7 +94,8 @@ class TestPassiveQoeEstimation:
         assert estimate.qoe_score > 0.9
 
     def test_lossy_zoom_scores_lower(self):
-        session = default_two_user_testbed().session(ZOOM, seed=1)
+        session = default_two_user_testbed().session(ZOOM, seed=1,
+                                                      captures=("U1",))
         session.shape_uplink("U2", TrafficShaper(loss=0.10, seed=5))
         result = session.run(8.0)
         estimate = estimate_from_capture(
@@ -104,7 +106,8 @@ class TestPassiveQoeEstimation:
         assert estimate.qoe_score < 0.92
 
     def test_quic_hides_loss(self):
-        result = default_two_user_testbed().session(FACETIME, seed=0).run(6.0)
+        result = default_two_user_testbed().session(
+            FACETIME, seed=0, captures=("U1",)).run(6.0)
         estimate = estimate_from_capture(
             result.capture_of("U1"), Direction.DOWNLINK,
             one_way_delay_ms=30.0,
@@ -114,7 +117,8 @@ class TestPassiveQoeEstimation:
         assert estimate.estimated_fps == pytest.approx(90.0, abs=4.0)
 
     def test_long_path_penalized(self):
-        result = default_two_user_testbed().session(WEBEX, seed=0).run(6.0)
+        result = default_two_user_testbed().session(
+            WEBEX, seed=0, captures=("U1",)).run(6.0)
         near = estimate_from_capture(result.capture_of("U1"),
                                      one_way_delay_ms=30.0)
         far = estimate_from_capture(result.capture_of("U1"),

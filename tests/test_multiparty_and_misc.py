@@ -20,7 +20,7 @@ class TestMultiPartyStats:
             3, device_factory=MacBook,
             cities=["san jose", "dallas", "washington"],
         )
-        return testbed.session(WEBEX, seed=0).run(8.0)
+        return testbed.session(WEBEX, seed=0, captures=("U1",)).run(8.0)
 
     def test_collector_tracks_every_remote_sender(self, result):
         stats = result.stats_of("U1")
@@ -134,7 +134,8 @@ class TestCalibrationCoherence:
         from repro.vca.profiles import FACETIME
 
         plan = plan_session(FACETIME, [VisionPro(), VisionPro()])
-        result = default_two_user_testbed().session(FACETIME, seed=0).run(6.0)
+        result = default_two_user_testbed().session(
+            FACETIME, seed=0, captures=("U1",)).run(6.0)
         measured_up = result.capture_of("U1").total_bytes(
             Direction.UPLINK
         ) * 8 / 6.0 / 1e6

@@ -240,7 +240,7 @@ class TestReceiverOutcome:
     def session(self, sim=None):
         return default_two_user_testbed().session(
             FACETIME, seed=3, sim=sim, faults=self.FAULTS,
-            resilience=self.KEYPOINTS_ONLY)
+            resilience=self.KEYPOINTS_ONLY, captures=("U1", "U2"))
 
     def run_scalar(self):
         return self.session().run(4.0)

@@ -17,7 +17,8 @@ from repro.vca.shareplay import (
 class TestSharedContentSource:
     def _run(self, profile, duration_s=4.0):
         testbed = multi_user_testbed(3)
-        session = testbed.session(PROFILES["FaceTime"], seed=0)
+        session = testbed.session(PROFILES["FaceTime"], seed=0,
+                                  captures=("U1", "U2"))
         source = SharedContentSource(profile, seed=0)
         target, port = session._media_target(0)
         source.attach(session.sim, session.host_of("U1"), target, port)

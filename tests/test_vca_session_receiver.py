@@ -13,9 +13,9 @@ from repro.vca.profiles import FACETIME, PROFILES, WEBEX, ZOOM, PersonaKind, Pro
 from repro.vca.session import Participant, TelepresenceSession
 
 
-def two_user_session(profile=FACETIME, u2=None, seed=0):
+def two_user_session(profile=FACETIME, u2=None, seed=0, captures=()):
     testbed = default_two_user_testbed(u2_device=u2)
-    return testbed.session(profile, seed=seed)
+    return testbed.session(profile, seed=seed, captures=captures)
 
 
 class TestSessionSetup:
@@ -65,12 +65,12 @@ class TestSessionSetup:
 
 class TestSessionTraffic:
     def test_spatial_uplink_rate(self):
-        result = two_user_session().run(10.0)
+        result = two_user_session(captures=("U1",)).run(10.0)
         mbps = result.capture_of("U1").total_bytes(Direction.UPLINK) * 8 / 10 / 1e6
         assert mbps == pytest.approx(calibration.SPATIAL_PERSONA_MBPS, abs=0.1)
 
     def test_downlink_mirrors_uplink_two_users(self):
-        result = two_user_session().run(10.0)
+        result = two_user_session(captures=("U1",)).run(10.0)
         cap = result.capture_of("U1")
         up = cap.total_bytes(Direction.UPLINK)
         down = cap.total_bytes(Direction.DOWNLINK)
@@ -107,7 +107,8 @@ class TestSessionTraffic:
         rates = {}
         for n in (2, 4):
             testbed = multi_user_testbed(n)
-            result = testbed.session(FACETIME, seed=0).run(8.0)
+            result = testbed.session(FACETIME, seed=0,
+                                     captures=("U1",)).run(8.0)
             cap = result.capture_of("U1")
             rates[n] = cap.total_bytes(Direction.DOWNLINK) * 8 / 8.0 / 1e6
         assert rates[4] == pytest.approx(3 * rates[2], rel=0.15)
@@ -131,7 +132,7 @@ class TestBatchCohortFacade:
         runner = CohortRunner()
         for seed in range(cohort_size):
             runner.add(lambda sim, s=seed: default_two_user_testbed().session(
-                FACETIME, seed=s, sim=sim))
+                FACETIME, seed=s, sim=sim, captures=("U1",)))
         for result in runner.run(duration):
             cap = result.capture_of("U1")
             up = cap.total_bytes(Direction.UPLINK)

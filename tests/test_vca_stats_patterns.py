@@ -25,12 +25,14 @@ from repro.vca.profiles import FACETIME, WEBEX, ZOOM
 
 @pytest.fixture(scope="module")
 def webex_result():
-    return default_two_user_testbed().session(WEBEX, seed=0).run(10.0)
+    return default_two_user_testbed().session(
+        WEBEX, seed=0, captures=("U1",)).run(10.0)
 
 
 @pytest.fixture(scope="module")
 def facetime_result():
-    return default_two_user_testbed().session(FACETIME, seed=0).run(5.0)
+    return default_two_user_testbed().session(
+        FACETIME, seed=0, captures=("U1",)).run(5.0)
 
 
 class TestInAppStatistics:
@@ -165,7 +167,8 @@ class TestRtpLossInference:
         assert estimate_rtp_loss(records).loss_rate == pytest.approx(0.0)
 
     def test_shaped_loss_recovered(self):
-        session = default_two_user_testbed().session(ZOOM, seed=1)
+        session = default_two_user_testbed().session(ZOOM, seed=1,
+                                                      captures=("U1",))
         session.shape_uplink("U2", TrafficShaper(loss=0.08, seed=3))
         result = session.run(8.0)
         records = result.capture_of("U1").filter(direction=Direction.DOWNLINK)
